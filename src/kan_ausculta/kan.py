@@ -11,7 +11,10 @@ public KAN variants) is supported behind a flag but disabled by default;
 the plain configuration is pure-spline.
 
 Forward/backward are vectorized: ``x`` may be a single vector (n_in,) or a
-batch (B, n_in). Gradients are exact; see ``kan_backward``.
+batch (B, n_in). Each pass is a matmul against the coefficients flattened to
+(n_out, n_in * n_basis); the forward pass evaluates the basis and its
+derivatives once and caches both, so the backward pass evaluates none.
+Gradients are exact; see ``kan_backward``.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
+from .lstm import _sigmoid
 from .splines import KnotVector, bspline_basis
 
 __all__ = [
-    "EdgeFunction",
     "KanLayer",
     "KanNetwork",
     "KanCache",
@@ -41,15 +44,6 @@ __all__ = [
 ]
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _silu(x):
     return x * _sigmoid(x)
 
@@ -57,21 +51,6 @@ def _silu(x):
 def _silu_grad(x):
     s = _sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
-
-
-class EdgeFunction:
-    """Read-only view of one learnable univariate edge spline."""
-
-    def __init__(self, coefficients: np.ndarray, grid: KnotVector):
-        if coefficients.shape != (grid.n_basis,):
-            raise ShapeError(
-                f"edge needs {grid.n_basis} coefficients, got {coefficients.shape}"
-            )
-        self.coefficients = coefficients
-        self.grid = grid
-
-    def __call__(self, x):
-        return bspline_basis(x, self.grid) @ self.coefficients
 
 
 @dataclass
@@ -89,9 +68,6 @@ class KanLayer:
     @property
     def n_in(self) -> int:
         return self.coeffs.shape[1]
-
-    def edge(self, i: int, j: int) -> EdgeFunction:
-        return EdgeFunction(self.coeffs[i, j], self.grid)
 
 
 @dataclass
@@ -121,10 +97,11 @@ class KanNetwork:
 
 @dataclass
 class KanCache:
-    """Per-edge basis values retained by a forward pass for the backward pass."""
+    """Per-edge basis values and derivatives kept by a forward pass for the backward pass."""
 
     x: np.ndarray
     basis: np.ndarray  # x.shape + (n_basis,)
+    dbasis: np.ndarray  # d basis / dx, same shape
 
 
 @dataclass
@@ -169,11 +146,12 @@ def kan_forward(layer: KanLayer, x) -> tuple[np.ndarray, KanCache]:
         raise ShapeError(f"expected input width {layer.n_in}, got {x.shape[-1]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("kan_forward requires finite inputs")
-    basis = bspline_basis(x, layer.grid)  # (..., n_in, n_basis)
-    y = np.einsum("...jk,ijk->...i", basis, layer.coeffs)
+    basis, dbasis = bspline_basis(x, layer.grid, with_derivative=True)  # (..., n_in, n_basis)
+    flat_basis = basis.reshape(*x.shape[:-1], layer.n_in * layer.grid.n_basis)
+    y = flat_basis @ layer.coeffs.reshape(layer.n_out, -1).T
     if layer.base_weight is not None:
         y = y + _silu(x) @ layer.base_weight.T
-    return y, KanCache(x=x, basis=basis)
+    return y, KanCache(x=x, basis=basis, dbasis=dbasis)
 
 
 def kan_backward(
@@ -195,11 +173,11 @@ def kan_backward(
         )
     # collapse any leading batch axes so the parameter reductions sum over them
     up2 = upstream.reshape(-1, layer.n_out)
-    basis2 = cache.basis.reshape(-1, layer.n_in, layer.grid.n_basis)
-    grad_coeffs = np.einsum("bi,bjk->ijk", up2, basis2)
-    _, dbasis = bspline_basis(x, layer.grid, with_derivative=True)
-    dbasis2 = dbasis.reshape(-1, layer.n_in, layer.grid.n_basis)
-    grad_x = np.einsum("bi,ijk,bjk->bj", up2, layer.coeffs, dbasis2).reshape(x.shape)
+    basis2 = cache.basis.reshape(up2.shape[0], -1)
+    grad_coeffs = (up2.T @ basis2).reshape(layer.coeffs.shape)
+    # d(upstream . y)/d basis, weighted by each basis's derivative, summed per input
+    grad_basis = (up2 @ layer.coeffs.reshape(layer.n_out, -1)).reshape(cache.dbasis.shape)
+    grad_x = (grad_basis * cache.dbasis).sum(-1)
     grad_base = None
     if layer.base_weight is not None:
         grad_base = up2.T @ _silu(x).reshape(-1, layer.n_in)

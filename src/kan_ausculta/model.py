@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -179,7 +181,7 @@ def save_checkpoint(
     scaler_scale: np.ndarray | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Write every tensor plus a JSON meta block into one .npz container."""
+    """Write every tensor plus a JSON meta block into one .npz container, atomically."""
     grid = m.kan.layers[0].grid
     header = {
         "version": CHECKPOINT_VERSION,
@@ -201,8 +203,16 @@ def save_checkpoint(
         arrays["scaler_scale"] = scaler_scale
     buf = io.BytesIO()
     np.savez(buf, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    # stage next to the target and rename, so a failed write keeps the old file
+    path = Path(path)
+    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(staged, "wb") as fh:
+            fh.write(buf.getvalue())
+        os.replace(staged, path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, expected_fingerprint: str | None = None):

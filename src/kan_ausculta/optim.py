@@ -159,25 +159,39 @@ def adamw_init(params: dict, lr: float, **kwargs) -> AdamWState:
 
 
 def adamw_step(params: dict, grads: dict, st: AdamWState) -> None:
-    """In-place update: theta -= lr * m_hat / (sqrt(v_hat) + eps) + lr * wd * theta."""
+    """In-place update: theta -= lr * m_hat / (sqrt(v_hat) + eps) + lr * wd * theta.
+
+    m_hat = m / bc1 and v_hat = v / bc2 are folded into scalars, so every
+    tensor op writes into m, v, theta or one scratch buffer per tensor.
+    """
     st.step += 1
     bc1 = 1.0 - st.beta1**st.step
     bc2 = 1.0 - st.beta2**st.step
+    step_size = st.lr / bc1
+    sqrt_bc2 = math.sqrt(bc2)
     for name, theta in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingAbort("non-finite gradient", parameter=name)
         m = st.m[name]
         v = st.v[name]
+        buf = np.empty_like(theta)  # the one scratch buffer of this tensor
         m *= st.beta1
-        m += (1.0 - st.beta1) * g
+        np.multiply(g, 1.0 - st.beta1, out=buf)
+        m += buf
         v *= st.beta2
-        v += (1.0 - st.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        theta -= st.lr * m_hat / (np.sqrt(v_hat) + st.eps)
+        np.multiply(g, 1.0 - st.beta2, out=buf)
+        buf *= g
+        v += buf
+        np.sqrt(v, out=buf)
+        buf /= sqrt_bc2
+        buf += st.eps
+        np.divide(m, buf, out=buf)
+        buf *= step_size
+        theta -= buf
         if st.weight_decay != 0.0:
-            theta -= st.lr * st.weight_decay * theta
+            np.multiply(theta, st.lr * st.weight_decay, out=buf)
+            theta -= buf
 
 
 @dataclass

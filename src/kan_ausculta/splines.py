@@ -2,8 +2,10 @@
 
 Every KAN edge function in this package is a linear combination of the
 B-spline basis produced here. The basis is evaluated with the Cox-de Boor
-recursion, vectorized over arbitrary input shapes, and supports analytic
-first derivatives via the standard order-reduction formula.
+recursion on only the ``order + 1`` bases that are nonzero at each input,
+vectorized over arbitrary input shapes, and supports analytic first
+derivatives via the standard order-reduction formula. The full-grid
+recursion is kept as a private oracle for the tests.
 
 Conventions:
 - ``order`` is the polynomial degree (cubic splines => order 3).
@@ -73,12 +75,83 @@ def bspline_basis(x, kv: KnotVector, with_derivative: bool = False):
     """Evaluate all basis functions (and optionally derivatives) at ``x``.
 
     ``x`` may be a scalar or an array of any shape; the result appends one
-    axis of length ``kv.n_basis``. Values are computed by the Cox-de Boor
-    recursion; derivatives by the degree-(k-1) difference formula. At most
-    ``order + 1`` entries are nonzero for any single input. Inputs outside
-    the extended knot span simply evaluate to zero.
+    axis of length ``kv.n_basis``. Each input's knot interval s (half-open,
+    ``t[s] <= x < t[s+1]``) is found by binary search, and only the
+    ``order + 1`` bases that can be nonzero there, s-order..s, are
+    evaluated: by the Cox-de Boor recursion in the local coordinate
+    ``u = (x - t[s]) / h``, and for derivatives by the degree-(k-1)
+    difference formula. Inputs outside the extended knot span evaluate to
+    zero.
 
     Returns ``values`` or ``(values, derivatives)``.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("bspline_basis requires finite inputs")
+
+    t = kv.knots
+    k = kv.order
+    h = kv.spacing
+    n_intervals = t.size - 1
+    flat = x.reshape(-1)
+
+    s = np.searchsorted(t, flat, side="right") - 1
+    inside = (s >= 0) & (s < n_intervals)
+    s = np.where(inside, s, 0)
+    u = (flat - t[s]) / h
+
+    lower = [inside.astype(float)]  # degree 0: the indicator of interval s
+    for d in range(1, k):
+        lower = _raise_degree(lower, u, d)
+    local = _raise_degree(lower, u, k)  # lower stays at degree k-1
+
+    # Basis s-k+r goes to column s+r of a row k columns wider on each side
+    # than n_basis; the outer columns catch the partial end bases the grid
+    # does not carry and are cut off.
+    width = n_intervals + k
+    starts = np.arange(0, flat.size * width, width) + s
+    shape = x.shape + (kv.n_basis,)
+
+    def scatter(columns):
+        wide = np.zeros(flat.size * width)
+        for r, column in enumerate(columns):
+            wide[starts + r] = column
+        kept = wide.reshape(-1, width)[:, k : k + kv.n_basis]
+        return np.ascontiguousarray(kept).reshape(shape)
+
+    values = scatter(local)
+    if not with_derivative:
+        return values
+    # d/dx B_{j,k} = (B_{j,k-1} - B_{j+1,k-1}) / h on a uniform grid
+    padded = [0.0] + lower + [0.0]
+    derivatives = scatter([(a - b) / h for a, b in zip(padded[:-1], padded[1:])])
+    return values, derivatives
+
+
+def _raise_degree(lower, u, d):
+    """One uniform Cox-de Boor step from the d nonzero bases of degree d-1.
+
+    ``lower[r]`` is basis s-(d-1)+r; the result's entry r is basis s-d+r,
+    with ``x - t[s-d+r] = (u + d - r) h`` and ``t[s+r+1] - x = (r + 1 - u) h``.
+    """
+    out = []
+    for r in range(d + 1):
+        if r == 0:
+            term = (1 - u) * lower[0]
+        elif r == d:
+            term = u * lower[d - 1]
+        else:
+            term = (u + (d - r)) * lower[r - 1] + ((r + 1) - u) * lower[r]
+        term /= d
+        out.append(term)
+    return out
+
+
+def _cox_de_boor_basis(x, kv: KnotVector, with_derivative: bool = False):
+    """Full-grid Cox-de Boor recursion over every knot interval.
+
+    The reference ``bspline_basis`` is tested against: same contract, but
+    it carries all ``n_basis`` bases through every degree.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import RunConfig, config_echo
 from .dataset import DatasetIndex
-from .errors import ContractViolation, TrainingAbort
+from .errors import ContractViolation, ShapeError, TrainingAbort
 from .evalkit import (
     average_precision,
     calibration_bins,
@@ -493,7 +493,8 @@ def run_cv(cfg: RunConfig, index: DatasetIndex, source=None):
 
     Fully reproducible given (config, seed, dataset bytes). A failing fold
     is recorded in ``report.incomplete`` and excluded from pooling; the run
-    aborts only if every fold fails.
+    aborts only if every fold fails. Programming errors (``ContractViolation``,
+    ``ShapeError``, ``TypeError``, ``AttributeError``) propagate instead.
     """
     if len(index) == 0:
         raise ValueError("empty dataset index")
@@ -517,8 +518,8 @@ def run_cv(cfg: RunConfig, index: DatasetIndex, source=None):
         tagged = index.with_folds(assignment.fold_of, fold)
         try:
             report, probs_val, art = _run_fold(cfg, fold, tagged, source, fold_seeds[fold])
-        except ContractViolation:
-            raise  # leakage guards are bugs in the caller, never swallowed
+        except (ContractViolation, ShapeError, TypeError, AttributeError):
+            raise  # leakage guards and programming errors are bugs, never swallowed
         except Exception as exc:  # noqa: BLE001 - fold-level diagnostic barrier
             log.error("fold %d aborted: %s", fold, exc)
             incomplete.append({"fold": fold, "error": f"{type(exc).__name__}: {exc}"})

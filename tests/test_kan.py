@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kan_ausculta import kan
 from kan_ausculta.errors import ShapeError
 from kan_ausculta.kan import (
     KanNetwork,
@@ -12,7 +13,7 @@ from kan_ausculta.kan import (
     network_backward,
     network_forward,
 )
-from kan_ausculta.splines import bspline_basis, make_uniform_grid
+from kan_ausculta.splines import _cox_de_boor_basis, bspline_basis, make_uniform_grid
 
 GRID = make_uniform_grid(-1, 1, 3, 3)
 
@@ -230,3 +231,62 @@ class TestExportSplines:
         net = kan_network_init([2, 2], GRID, np.random.default_rng(1))
         with pytest.raises(ValueError):
             export_splines(net, 1)
+
+
+class TestMatmulForm:
+    """The matmul layer against the per-edge einsum formulas over the full recursion."""
+
+    @staticmethod
+    def reference(layer, x, upstream):
+        silu = x / (1.0 + np.exp(-x))
+        sig = 1.0 / (1.0 + np.exp(-x))
+        basis, dbasis = _cox_de_boor_basis(x, layer.grid, with_derivative=True)
+        y = np.einsum("...jk,ijk->...i", basis, layer.coeffs)
+        up2 = upstream.reshape(-1, layer.n_out)
+        basis2 = basis.reshape(-1, layer.n_in, layer.grid.n_basis)
+        dbasis2 = dbasis.reshape(-1, layer.n_in, layer.grid.n_basis)
+        grad_coeffs = np.einsum("bi,bjk->ijk", up2, basis2)
+        grad_x = np.einsum("bi,ijk,bjk->bj", up2, layer.coeffs, dbasis2).reshape(x.shape)
+        grad_base = None
+        if layer.base_weight is not None:
+            y = y + silu @ layer.base_weight.T
+            grad_base = up2.T @ silu.reshape(-1, layer.n_in)
+            grad_x = grad_x + (upstream @ layer.base_weight) * sig * (1.0 + x * (1.0 - sig))
+        return y, grad_x, grad_coeffs, grad_base
+
+    @pytest.mark.parametrize("base_branch", [False, True])
+    @pytest.mark.parametrize("batch", [None, 9])
+    def test_forward_and_backward_match_einsum(self, base_branch, batch):
+        rng = np.random.default_rng(41)
+        layer = make_layer(7, 5, seed=42, scale=0.8, base_branch=base_branch)
+        lead = () if batch is None else (batch,)
+        # spread past the extended grid so dead and edge intervals are covered
+        x = rng.uniform(-3.5, 3.5, size=lead + (7,))
+        upstream = rng.normal(size=lead + (5,))
+        y, cache = kan_forward(layer, x)
+        grad_x, grads = kan_backward(layer, x, cache, upstream)
+        ref_y, ref_grad_x, ref_coeffs, ref_base = self.reference(layer, x, upstream)
+        assert y.shape == ref_y.shape and grad_x.shape == x.shape
+        np.testing.assert_allclose(y, ref_y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad_x, ref_grad_x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads.coeffs, ref_coeffs, rtol=0, atol=1e-12)
+        if base_branch:
+            np.testing.assert_allclose(grads.base_weight, ref_base, rtol=0, atol=1e-12)
+        else:
+            assert grads.base_weight is None
+
+    def test_backward_reuses_the_cached_basis(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("with_derivative", False))
+            return bspline_basis(*args, **kwargs)
+
+        monkeypatch.setattr(kan, "bspline_basis", counting)
+        rng = np.random.default_rng(43)
+        net = kan_network_init([6, 5, 3], GRID, rng)
+        x = rng.uniform(-1, 1, size=(4, 6))
+        _, caches = network_forward(net, x)
+        assert calls == [True, True]  # one call per layer, derivatives included
+        network_backward(net, caches, rng.normal(size=(4, 3)))
+        assert len(calls) == 2

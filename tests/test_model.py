@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kan_ausculta import model as model_module
 from kan_ausculta.errors import FingerprintError, ShapeError
 from kan_ausculta.model import (
     build_model,
@@ -151,6 +152,45 @@ class TestCheckpoint:
         assert header["meta"]["fold"] == 2
         np.testing.assert_array_equal(mean, np.arange(5.0))
         np.testing.assert_array_equal(scale, np.ones(5))
+
+    @pytest.mark.parametrize("failure", ["write", "rename"])
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "model.npz"
+        old = small_model(seed=14)
+        save_checkpoint(old, path, fingerprint="abc123")
+        before = path.read_bytes()
+
+        if failure == "write":
+            real_open = open
+
+            class HalfWritten:
+                def __init__(self, *args):
+                    self.fh = real_open(*args)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.fh.close()
+
+                def write(self, data):
+                    self.fh.write(data[: len(data) // 2])
+                    raise OSError("no space left on device")
+
+            monkeypatch.setattr(model_module, "open", HalfWritten, raising=False)
+        else:
+            def refuse(*args):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(model_module.os, "replace", refuse)
+
+        with pytest.raises(OSError):
+            save_checkpoint(small_model(seed=15), path, fingerprint="abc123")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+        loaded, _, _, _ = load_checkpoint(path, expected_fingerprint="abc123")
+        x = np.random.default_rng(16).normal(size=5)
+        np.testing.assert_array_equal(model_forward(loaded, x)[0], model_forward(old, x)[0])
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         m = small_model(seed=13)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kan_ausculta.splines import bspline_basis, make_uniform_grid
+from kan_ausculta.splines import _cox_de_boor_basis, bspline_basis, make_uniform_grid
 
 
 def naive_bspline(x, degree, i, knots):
@@ -135,3 +135,35 @@ class TestDerivatives:
             left = (d1(knot) - d1(knot - 2 * h)) / (2 * h)
             right = (d1(knot + 2 * h) - d1(knot)) / (2 * h)
             np.testing.assert_allclose(left, right, atol=1e-4)
+
+
+class TestLocalBasisMatchesFullRecursion:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("grid_size", [1, 2, 3, 4, 5])
+    def test_values_and_derivatives(self, order, grid_size):
+        kv = make_uniform_grid(-0.7, 1.3, grid_size, order)
+        t = kv.knots
+        width = t[-1] - t[0]
+        xs = np.concatenate([
+            t,                                  # exactly on every knot
+            np.nextafter(t, -np.inf),           # just below every knot
+            np.nextafter(t, np.inf),
+            np.random.default_rng(order * 10 + grid_size).uniform(t[0], t[-1], 400),
+            [t[0] - 0.5 * width, t[-1] + 0.5 * width, -1e6, 1e6],  # beyond the extension
+        ])
+        values, derivs = bspline_basis(xs, kv, with_derivative=True)
+        ref_values, ref_derivs = _cox_de_boor_basis(xs, kv, with_derivative=True)
+        assert values.shape == ref_values.shape == (xs.size, kv.n_basis)
+        assert np.max(np.abs(values - ref_values)) <= 1e-12
+        assert np.max(np.abs(derivs - ref_derivs)) <= 1e-12
+        assert np.all(values[-4:] == 0) and np.all(derivs[-4:] == 0)
+
+    def test_keeps_input_shape(self):
+        kv = make_uniform_grid(-1, 1, 3, 3)
+        xs = np.random.default_rng(5).uniform(-3.5, 3.5, size=(4, 7, 2))
+        values, derivs = bspline_basis(xs, kv, with_derivative=True)
+        ref_values, ref_derivs = _cox_de_boor_basis(xs, kv, with_derivative=True)
+        assert values.shape == derivs.shape == (4, 7, 2, kv.n_basis)
+        np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(derivs, ref_derivs, rtol=0, atol=1e-12)
+        assert bspline_basis(0.25, kv).shape == (kv.n_basis,)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_small_dataset
+from kan_ausculta import training
 from kan_ausculta.config import load_config
-from kan_ausculta.errors import ContractViolation
+from kan_ausculta.errors import ContractViolation, ShapeError, TrainingAbort
 from kan_ausculta.features import AudioSignal, FeatureConfig
 from kan_ausculta.imbalance import SmoteConfig, augment_signal, smote_resample
 from kan_ausculta.report import export, load_report
@@ -138,6 +139,31 @@ class TestRunCv:
         report, _ = run_cv(cfg, index, source)
         assert report.config["train.two_stage"] is False
         assert len(report.folds) == 2
+
+    @pytest.mark.parametrize("error", [ShapeError, TypeError, AttributeError])
+    def test_programming_error_in_a_fold_propagates(self, small_run, monkeypatch, error):
+        cfg, index, source, _, _ = small_run
+
+        def broken_fold(*args, **kwargs):
+            raise error("bug in the fold")
+
+        monkeypatch.setattr(training, "_run_fold", broken_fold)
+        with pytest.raises(error, match="bug in the fold"):
+            run_cv(cfg, index, source)
+
+    def test_failing_fold_is_filed_as_incomplete(self, small_run, monkeypatch):
+        cfg, index, source, _, _ = small_run
+        real_fold = training._run_fold
+
+        def first_fold_aborts(cfg, fold, *args):
+            if fold == 0:
+                raise TrainingAbort("non-finite gradient")
+            return real_fold(cfg, fold, *args)
+
+        monkeypatch.setattr(training, "_run_fold", first_fold_aborts)
+        report, _ = run_cv(cfg, index, source)
+        assert report.incomplete == [{"fold": 0, "error": "TrainingAbort: non-finite gradient"}]
+        assert [fold.fold for fold in report.folds] == [1]
 
     def test_empty_index_rejected(self, small_run):
         cfg, _, source, _, _ = small_run
