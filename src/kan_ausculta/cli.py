@@ -248,17 +248,19 @@ def _cmd_train(args) -> int:
 
 def _cmd_ablate(args) -> int:
     out_root = Path(args.out)
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.folds is not None:
+        overrides["folds"] = args.folds
+    presets = ("baseline_ce", "focal_only", "augment_only", "smote_only", "full")
+    configs = [load_config(path=args.config, preset=p, overrides=overrides) for p in presets]
+    # presets set no features.* or data.* key, so one index and one source
+    # (one extraction per recording) serve all of them
+    result = ingest(args.data, args.diagnosis, configs[0].min_class_count)
+    source = _audio_source(configs[0], result.index, args.cache or os.environ.get(CACHE_ENV))
     rows = []
-    for preset in ("baseline_ce", "focal_only", "augment_only", "smote_only", "full"):
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.folds is not None:
-            overrides["folds"] = args.folds
-        cfg = load_config(path=args.config, preset=preset, overrides=overrides)
-        result = ingest(args.data, args.diagnosis, cfg.min_class_count)
-        cache_file = args.cache or os.environ.get(CACHE_ENV)
-        source = _audio_source(cfg, result.index, cache_file)
+    for preset, cfg in zip(presets, configs):
         report, _ = _train_once(cfg, result.index, source, out_root / preset)
         per_class_f1 = {row["name"]: row["f1"] for row in report.pooled.per_class}
         rows.append((preset, report.pooled.accuracy, report.pooled.macro_f1, per_class_f1))

@@ -7,10 +7,15 @@ streams -> summarize each stream row with seven statistics (mean, std,
 min, max, median, skewness, excess kurtosis) -> concatenate into one
 feature vector, imputing NaN/Inf as zero.
 
-STFT parameters are frame 2048 / hop 512 with a Hann window. Standard
-deviation is the population (1/N) convention throughout. The "log-f"
-chroma variant folds a log-frequency (12 bins/octave) spectrogram rather
-than a true constant-Q transform.
+STFT parameters are frame 2048 / hop 512 with a Hann window; frames are
+strided views of the signal, so the window multiply is the only copy.
+Standard deviation is the population (1/N) convention throughout. The
+"log-f" chroma variant folds a log-frequency (12 bins/octave) spectrogram
+rather than a true constant-Q transform. Both chroma variants are one
+matmul against a fold matrix cached per (n_chroma, frame, rate), as the
+mel filterbank is. Aggregation is one vectorised pass: ``extract`` stacks
+every stream row (subbands included) and computes the seven statistics
+along the time axis in a single ``aggregate`` call.
 
 Extraction is a pure function of (bytes, config): the layout fingerprint
 binds feature matrices and model checkpoints to the exact configuration
@@ -23,10 +28,16 @@ import functools
 import hashlib
 import json
 import logging
+import os
+import pickle
+import zipfile
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import scipy.fft
 import scipy.io.wavfile
 import scipy.signal
@@ -111,7 +122,7 @@ class FeatureLayout:
     def dim(self) -> int:
         return len(self.entries)
 
-    @property
+    @functools.cached_property
     def fingerprint(self) -> str:
         payload = json.dumps(
             {"entries": list(self.entries), "config": self.config.__dict__},
@@ -196,9 +207,7 @@ def _frame(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
         padded = np.zeros(frame)
         padded[: len(samples)] = samples
         return padded[None, :]
-    n = 1 + (len(samples) - frame) // hop
-    idx = np.arange(frame)[None, :] + hop * np.arange(n)[:, None]
-    return samples[idx]
+    return sliding_window_view(samples, frame)[::hop]
 
 
 def magnitude_spectrogram(sig: AudioSignal, cfg: FeatureConfig) -> np.ndarray:
@@ -289,26 +298,36 @@ def _pitch_classes(freqs: np.ndarray) -> np.ndarray:
     return (np.round(midi).astype(int)) % 12
 
 
-def _chroma_from_power(power: np.ndarray, cfg: FeatureConfig):
-    freqs = _fft_freqs(cfg)
-    positive = freqs > 0
+@functools.lru_cache(maxsize=8)
+def _chroma_folds(n_chroma: int, frame_length: int, sample_rate: int):
+    """Two read-only (n_chroma, n_fft/2 + 1) fold matrices: STFT and log-frequency.
 
-    chroma_stft = np.zeros((cfg.n_chroma, power.shape[1]))
-    classes = _pitch_classes(freqs[positive])
-    np.add.at(chroma_stft, classes, power[positive])
+    Row c of a fold sums the STFT bins that land in pitch class c; a bin
+    inside two log-frequency bands of the same class counts twice.
+    """
+    freqs = np.fft.rfftfreq(frame_length, d=1.0 / sample_rate)
+    stft_fold = np.zeros((n_chroma, freqs.size))
+    positive = np.flatnonzero(freqs > 0)
+    stft_fold[_pitch_classes(freqs[positive]), positive] = 1.0
 
     # log-frequency (constant-Q-like) folding: 12 bins/octave from C1 upward
-    n_octaves = int(np.floor(np.log2((cfg.sample_rate / 2.0) / _C1_HZ)))
+    n_octaves = int(np.floor(np.log2((sample_rate / 2.0) / _C1_HZ)))
     n_bins = 12 * n_octaves
     centers = _C1_HZ * 2.0 ** (np.arange(n_bins) / 12.0)
-    chroma_logf = np.zeros((cfg.n_chroma, power.shape[1]))
+    logf_fold = np.zeros((n_chroma, freqs.size))
     half_step = 2.0 ** (1.0 / 24.0)
     for b, fc in enumerate(centers):
         lo, hi = fc / half_step, fc * half_step
-        mask = (freqs >= lo) & (freqs < hi)
-        if mask.any():
-            chroma_logf[b % 12] += power[mask].sum(axis=0)
+        logf_fold[b % 12] += (freqs >= lo) & (freqs < hi)
 
+    for fold in (stft_fold, logf_fold):
+        fold.setflags(write=False)
+    return stft_fold, logf_fold
+
+
+def _chroma_from_power(power: np.ndarray, cfg: FeatureConfig):
+    folds = _chroma_folds(cfg.n_chroma, cfg.frame_length, cfg.sample_rate)
+    chroma_stft, chroma_logf = (fold @ power for fold in folds)
     for chroma in (chroma_stft, chroma_logf):
         peaks = chroma.max(axis=0)
         nonzero = peaks > 0
@@ -328,9 +347,12 @@ def _spectral_from_mag(mag: np.ndarray, cfg: FeatureConfig):
     centroid = np.zeros(mag.shape[1])
     bandwidth = np.zeros(mag.shape[1])
     if voiced.any():
-        centroid[voiced] = (freqs[:, None] * mag[:, voiced]).sum(axis=0) / total[voiced]
-        spread = (freqs[:, None] - centroid[None, voiced]) ** 2
-        bandwidth[voiced] = np.sqrt((spread * mag[:, voiced]).sum(axis=0) / total[voiced])
+        mag = mag[:, voiced]
+        centroid[voiced] = (freqs @ mag) / total[voiced]
+        spread = np.subtract.outer(freqs, centroid[voiced])
+        spread *= spread
+        spread *= mag
+        bandwidth[voiced] = np.sqrt(spread.sum(axis=0) / total[voiced])
     return centroid, bandwidth
 
 
@@ -346,16 +368,11 @@ def _onset_from_mel(mel: np.ndarray, duration: float):
         flux[1:] = diff.sum(axis=0)
 
     threshold = flux.mean() + flux.std()
-    count = 0
-    for t in range(len(flux)):
-        if flux[t] <= threshold or flux[t] <= 0:
-            continue
-        lo, hi = max(0, t - 3), min(len(flux), t + 4)
-        if flux[t] < flux[lo:hi].max():
-            continue
-        if t > 0 and flux[t] == flux[t - 1]:  # count plateaus once
-            continue
-        count += 1
+    neighbourhood = sliding_window_view(np.pad(flux, 3, constant_values=-np.inf), 7).max(axis=1)
+    previous = np.concatenate([[np.nan], flux[:-1]])  # the first frame has none
+    # a frame is an onset unless one of these skips it; plateaus count once
+    skipped = (flux <= threshold) | (flux <= 0) | (flux < neighbourhood) | (flux == previous)
+    count = int(np.count_nonzero(~skipped))
     rate = count / duration if duration > 0 else 0.0
     return flux, count, rate
 
@@ -375,26 +392,29 @@ def onset_stream(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()):
 
 
 def aggregate(series) -> np.ndarray:
-    """(mean, std, min, max, median, skewness, excess kurtosis) of a series.
+    """(mean, std, min, max, median, skewness, excess kurtosis) along the last axis.
 
-    Population (1/N) standard deviation; a zero-variance series reports
-    skewness and kurtosis of 0 by convention.
+    A series of shape (..., T) gives (..., 7); a 1-D series gives 7 values.
+    Population (1/N) standard deviation; a row with zero variance (std at
+    most 1e-12 of max(1, |mean|)) reports skewness and kurtosis of 0 by
+    convention.
     """
     series = np.asarray(series, dtype=float)
     if series.size == 0:
         raise ContractViolation("cannot aggregate an empty series")
-    mean = series.mean()
-    centered = series - mean
-    m2 = np.mean(centered**2)
+    mean = series.mean(axis=-1)
+    centered = series - mean[..., None]
+    squared = centered * centered
+    m2 = np.mean(squared, axis=-1)
     std = np.sqrt(m2)
-    if std <= 1e-12 * max(1.0, abs(mean)):
-        skew = 0.0
-        kurt = 0.0
-    else:
-        skew = np.mean(centered**3) / m2**1.5
-        kurt = np.mean(centered**4) / (m2 * m2) - 3.0
-    return np.array(
-        [mean, std, series.min(), series.max(), np.median(series), skew, kurt]
+    flat = std <= 1e-12 * np.maximum(1.0, np.abs(mean))
+    safe_m2 = np.where(flat, 1.0, m2)
+    # products, not ``**3``/``**4``: NumPy sends those to libm pow, ~70x slower
+    skew = np.where(flat, 0.0, np.mean(squared * centered, axis=-1) / safe_m2**1.5)
+    kurt = np.where(flat, 0.0, np.mean(squared * squared, axis=-1) / (safe_m2 * safe_m2) - 3.0)
+    return np.stack(
+        [mean, std, series.min(axis=-1), series.max(axis=-1), np.median(series, axis=-1), skew, kurt],
+        axis=-1,
     )
 
 
@@ -444,14 +464,12 @@ def extract(sig: AudioSignal, layout: FeatureLayout) -> FeatureVector:
     centroid, bandwidth = _spectral_from_mag(mag, cfg)
     envelope, n_onsets, onset_rate = _onset_from_mel(mel, sig.duration)
 
-    blocks = [mel, mfcc, chroma_stft, chroma_logf, centroid[None, :], bandwidth[None, :], envelope[None, :]]
+    streams = [mel, mfcc, chroma_stft, chroma_logf, centroid, bandwidth, envelope]
     if cfg.subbands:
-        groups = np.array_split(mel, 4, axis=0)
-        blocks.append(np.vstack([g.mean(axis=0, keepdims=True) for g in groups]))
+        streams += [g.mean(axis=0) for g in np.array_split(mel, 4, axis=0)]
 
-    pieces = [np.concatenate([aggregate(row) for row in block]) for block in blocks]
-    pieces.append(np.array([float(n_onsets), onset_rate]))
-    values = np.concatenate(pieces)
+    stats = aggregate(np.vstack(streams))
+    values = np.concatenate([stats.ravel(), [float(n_onsets), onset_rate]])
     if values.shape[0] != layout.dim:
         raise FingerprintError(
             f"extractor produced {values.shape[0]} values but layout declares {layout.dim}"
@@ -465,7 +483,12 @@ def extract(sig: AudioSignal, layout: FeatureLayout) -> FeatureVector:
 
 
 def save_feature_cache(path, fingerprint: str, paths, matrix, labels=None) -> None:
-    """Columnar container binding a feature matrix to its layout fingerprint."""
+    """Columnar container binding a feature matrix to its layout fingerprint.
+
+    Written atomically to exactly ``path`` (no ``.npz`` is appended): the
+    container is staged next to the target and renamed over it, so a failed
+    write keeps the previous file.
+    """
     payload = {
         "version": np.array(CACHE_VERSION),
         "fingerprint": np.array(fingerprint),
@@ -474,21 +497,36 @@ def save_feature_cache(path, fingerprint: str, paths, matrix, labels=None) -> No
     }
     if labels is not None:
         payload["labels"] = np.asarray(labels, dtype=int)
-    np.savez_compressed(path, **payload)
+    path = Path(path)
+    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(staged, "wb") as fh:
+            np.savez_compressed(fh, **payload)
+        os.replace(staged, path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
 
 
 def load_feature_cache(path, expected_fingerprint: str | None = None):
-    """Returns (fingerprint, paths, matrix, labels-or-None)."""
-    with np.load(path, allow_pickle=True) as data:
-        version = int(data["version"])
-        if version != CACHE_VERSION:
-            raise DataError(f"unsupported feature cache version {version}")
-        fingerprint = str(data["fingerprint"])
-        if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-            raise FingerprintError(
-                f"feature cache fingerprint {fingerprint} != expected {expected_fingerprint}"
-            )
-        paths = [str(p) for p in data["paths"]]
-        matrix = data["matrix"]
-        labels = data["labels"] if "labels" in data.files else None
+    """Returns (fingerprint, paths, matrix, labels-or-None).
+
+    A missing, truncated or otherwise unreadable file raises ``DataError``.
+    """
+    try:
+        with np.load(path, allow_pickle=True) as data:
+            version = int(data["version"])
+            if version != CACHE_VERSION:
+                raise DataError(f"unsupported feature cache version {version}")
+            fingerprint = str(data["fingerprint"])
+            if expected_fingerprint is not None and fingerprint != expected_fingerprint:
+                raise FingerprintError(
+                    f"feature cache fingerprint {fingerprint} != expected {expected_fingerprint}"
+                )
+            paths = [str(p) for p in data["paths"]]
+            matrix = data["matrix"]
+            labels = data["labels"] if "labels" in data.files else None
+    except (OSError, EOFError, ValueError, KeyError, pickle.UnpicklingError,
+            zipfile.BadZipFile, zlib.error) as exc:
+        raise DataError(f"unreadable feature cache {path}: {exc}") from exc
     return fingerprint, paths, matrix, labels

@@ -3,8 +3,31 @@ import pytest
 import scipy.io.wavfile
 
 from kan_ausculta.cli import main
+from kan_ausculta.config import load_config
+from kan_ausculta.dataset import ingest
+from kan_ausculta.training import AudioFeatureSource, run_cv
 
 SR = 22050
+
+PRESETS = ("baseline_ce", "focal_only", "augment_only", "smote_only", "full")
+
+
+@pytest.fixture
+def count_extractions(monkeypatch):
+    """Count base-row cache misses (recordings extracted) in AudioFeatureSource.
+
+    The cache environment variable is cleared, so only an explicit --cache is read.
+    """
+    misses = []
+    real = AudioFeatureSource._extract_path
+
+    def counting(self, path):
+        misses.append(path)
+        return real(self, path)
+
+    monkeypatch.setattr(AudioFeatureSource, "_extract_path", counting)
+    monkeypatch.delenv("KAN_AUSCULTA_CACHE", raising=False)
+    return misses
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +112,36 @@ class TestExtractCommand:
         assert matrix.shape == (30, 1927)
         assert len(paths) == 30
 
+    def test_out_without_suffix_round_trips_into_train(self, corpus, config_file, tmp_path,
+                                                       count_extractions, capsys):
+        audio, table = corpus
+        cache = tmp_path / "feats"
+        assert main(["extract", "--data", str(audio), "--diagnosis", str(table),
+                     "--out", str(cache)]) == 0
+        assert cache.is_file() and not (tmp_path / "feats.npz").exists()
+        code = main([
+            "train", "--data", str(audio), "--diagnosis", str(table),
+            "--config", str(config_file), "--out", str(tmp_path / "run"), "--seed", "3",
+            "--cache", str(cache),
+        ])
+        assert code == 0
+        assert count_extractions == []  # every base row came from the cache
+
+    def test_truncated_cache_exits_2(self, corpus, config_file, tmp_path, capsys):
+        audio, table = corpus
+        cache = tmp_path / "features.npz"
+        assert main(["extract", "--data", str(audio), "--diagnosis", str(table),
+                     "--out", str(cache)]) == 0
+        data = cache.read_bytes()
+        cache.write_bytes(data[: len(data) // 2])
+        code = main([
+            "train", "--data", str(audio), "--diagnosis", str(table),
+            "--config", str(config_file), "--out", str(tmp_path / "run"),
+            "--cache", str(cache),
+        ])
+        assert code == 2
+        assert "unreadable feature cache" in capsys.readouterr().err
+
     def test_cache_env_variable(self, corpus, tmp_path, monkeypatch, capsys):
         audio, table = corpus
         cache = tmp_path / "env-cache.npz"
@@ -166,6 +219,29 @@ class TestAblateCommand:
         assert len(summary) == 6  # header + five presets
         for preset in ("baseline_ce", "focal_only", "augment_only", "smote_only", "full"):
             assert (out / preset / "report.json").exists()
+
+
+    def test_presets_share_one_source(self, corpus, config_file, tmp_path,
+                                      count_extractions, capsys):
+        audio, table = corpus
+        out = tmp_path / "ablation"
+        code = main([
+            "ablate", "--data", str(audio), "--diagnosis", str(table),
+            "--config", str(config_file), "--out", str(out), "--seed", "2",
+        ])
+        assert code == 0
+        assert len(count_extractions) == 30  # once per recording, not once per preset
+        assert len(set(count_extractions)) == 30
+
+        summary = {line.split(",")[0]: line.split(",")[1:3]
+                   for line in (out / "summary.csv").read_text().splitlines()[1:]}
+        assert list(summary) == list(PRESETS)
+        for preset in PRESETS:  # a fresh source per preset gives the same numbers
+            cfg = load_config(path=str(config_file), preset=preset, overrides={"seed": 2})
+            index = ingest(str(audio), str(table), cfg.min_class_count).index
+            report, _ = run_cv(cfg, index, AudioFeatureSource(cfg.features))
+            assert summary[preset] == [f"{report.pooled.accuracy:.17g}",
+                                       f"{report.pooled.macro_f1:.17g}"]
 
 
 class TestGradcheckCommand:

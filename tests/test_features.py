@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kan_ausculta import features as features_module
 from kan_ausculta.errors import ContractViolation, DataError, FingerprintError
 from kan_ausculta.features import (
     AudioSignal,
     FeatureConfig,
+    _chroma_from_power,
+    _fft_freqs,
+    _frame,
+    _onset_from_mel,
+    _pitch_classes,
     aggregate,
     chroma_streams,
     default_layout,
@@ -26,6 +34,66 @@ CFG = FeatureConfig()
 SR = CFG.sample_rate
 
 
+# ----------------------------------------------------------------------------
+# the loop implementations the vectorised ones replaced, kept as oracles
+
+
+def aggregate_oracle(series):
+    """Seven statistics of one 1-D series, one NumPy reduction at a time."""
+    series = np.asarray(series, dtype=float)
+    mean = series.mean()
+    centered = series - mean
+    m2 = np.mean(centered**2)
+    std = np.sqrt(m2)
+    if std <= 1e-12 * max(1.0, abs(mean)):
+        skew = 0.0
+        kurt = 0.0
+    else:
+        skew = np.mean(centered**3) / m2**1.5
+        kurt = np.mean(centered**4) / (m2 * m2) - 3.0
+    return np.array([mean, std, series.min(), series.max(), np.median(series), skew, kurt])
+
+
+def chroma_oracle(power, cfg):
+    """Both chroma variants by ``np.add.at`` and a loop over log-frequency bins."""
+    freqs = _fft_freqs(cfg)
+    positive = freqs > 0
+    chroma_stft = np.zeros((cfg.n_chroma, power.shape[1]))
+    np.add.at(chroma_stft, _pitch_classes(freqs[positive]), power[positive])
+
+    c1_hz = 32.70319566257483
+    n_octaves = int(np.floor(np.log2((cfg.sample_rate / 2.0) / c1_hz)))
+    centers = c1_hz * 2.0 ** (np.arange(12 * n_octaves) / 12.0)
+    chroma_logf = np.zeros((cfg.n_chroma, power.shape[1]))
+    half_step = 2.0 ** (1.0 / 24.0)
+    for b, fc in enumerate(centers):
+        mask = (freqs >= fc / half_step) & (freqs < fc * half_step)
+        if mask.any():
+            chroma_logf[b % 12] += power[mask].sum(axis=0)
+
+    for chroma in (chroma_stft, chroma_logf):
+        peaks = chroma.max(axis=0)
+        nonzero = peaks > 0
+        chroma[:, nonzero] /= peaks[nonzero]
+    return chroma_stft, chroma_logf
+
+
+def onset_count_oracle(flux):
+    """Peaks above mean + std and 0 that are the max within +/- 3 frames; plateaus once."""
+    threshold = flux.mean() + flux.std()
+    count = 0
+    for t in range(len(flux)):
+        if flux[t] <= threshold or flux[t] <= 0:
+            continue
+        lo, hi = max(0, t - 3), min(len(flux), t + 4)
+        if flux[t] < flux[lo:hi].max():
+            continue
+        if t > 0 and flux[t] == flux[t - 1]:
+            continue
+        count += 1
+    return count
+
+
 def sine(freq, seconds=1.0, amplitude=0.5, sr=SR):
     t = np.arange(int(sr * seconds)) / sr
     return AudioSignal(samples=amplitude * np.sin(2 * np.pi * freq * t), sample_rate=sr)
@@ -34,6 +102,15 @@ def sine(freq, seconds=1.0, amplitude=0.5, sr=SR):
 @pytest.fixture(scope="module")
 def sine440():
     return preprocess(sine(440), CFG)
+
+
+class TestFrame:
+    @pytest.mark.parametrize("n", [2048, 2049, 2560, 2561, 10_000])
+    def test_strided_view_matches_gather(self, n):
+        samples = np.random.default_rng(n).normal(size=n)
+        count = 1 + (n - 2048) // 512
+        idx = np.arange(2048)[None, :] + 512 * np.arange(count)[:, None]
+        np.testing.assert_array_equal(_frame(samples, 2048, 512), samples[idx])
 
 
 class TestPreprocess:
@@ -138,6 +215,21 @@ class TestChroma:
             b, _ = chroma_streams(sig_hi, CFG)
             assert a.mean(axis=1).argmax() == b.mean(axis=1).argmax()
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [CFG, FeatureConfig(frame_length=1024, hop_length=256),
+         FeatureConfig(sample_rate=8000, frame_length=512, hop_length=128)],
+    )
+    def test_fold_matrices_match_loop_oracle(self, cfg):
+        rng = np.random.default_rng(cfg.frame_length)
+        power = rng.random((cfg.frame_length // 2 + 1, 40)) ** 4
+        power[:, 5] = 0.0  # a silent frame keeps its zero column
+        stft, logf = _chroma_from_power(power, cfg)
+        ref_stft, ref_logf = chroma_oracle(power, cfg)
+        np.testing.assert_allclose(stft, ref_stft, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(logf, ref_logf, rtol=1e-12, atol=1e-12)
+        assert np.all(stft[:, 5] == 0) and np.all(logf[:, 5] == 0)
+
 
 class TestSpectral:
     def test_pure_tone_centroid_within_one_bin(self, sine440):
@@ -183,7 +275,65 @@ class TestOnsets:
         assert abs(rate1 - rate2) <= 0.1 * rate1
 
 
+class TestOnsetPicking:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_count_matches_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        # multiples of 1/8 keep cumsum and diff exact, so ties stay ties
+        flux = rng.integers(0, 6, size=n) * 0.125
+        for _ in range(int(rng.integers(0, 6))):  # plateaus and ties within +/- 3 frames
+            t = int(rng.integers(0, n))
+            width = int(rng.integers(1, 5))
+            flux[t : t + width] = flux[t]
+            if t + 3 < n:
+                flux[t + 3] = flux[t]
+        flux[0] = 0.0  # the envelope has no flux into the first frame
+        mel = np.cumsum(flux)[None, :]
+        envelope, count, rate = _onset_from_mel(mel, duration=2.0)
+        np.testing.assert_array_equal(envelope, flux)
+        assert count == onset_count_oracle(flux)
+        assert rate == count / 2.0
+
+
+def _rows_for(kinds, length, rng):
+    rows = []
+    for kind in kinds:
+        if kind == "constant":
+            rows.append(np.full(length, rng.normal() * 10.0 ** rng.integers(-3, 7)))
+        elif kind == "near_flat":  # |mean| 1e6, spread around the 1e-6 flat threshold
+            sign = rng.choice([-1.0, 1.0])
+            rows.append(sign * 1e6 + rng.normal(size=length) * 10.0 ** rng.integers(-12, -4))
+        elif kind == "skewed":
+            rows.append(rng.exponential(size=length) ** 3)
+        else:
+            rows.append(rng.normal(size=length) * 10.0 ** rng.integers(-3, 4))
+    return np.array(rows)
+
+
 class TestAggregate:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        length=st.integers(1, 60),
+        kinds=st.lists(st.sampled_from(["normal", "constant", "near_flat", "skewed"]),
+                       min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_one_dimensional_oracle(self, lead, length, kinds, seed):
+        rng = np.random.default_rng(seed)
+        n_rows = int(np.prod(lead))
+        series = _rows_for([kinds[i % len(kinds)] for i in range(n_rows)], length, rng)
+        out = aggregate(series.reshape(*lead, length))
+        assert out.shape == (*lead, 7)
+        out = out.reshape(n_rows, 7)
+        ref = np.array([aggregate_oracle(row) for row in series])
+        # mean, std, min, max and median take the same reductions as the oracle
+        np.testing.assert_allclose(out[:, :5], ref[:, :5], rtol=1e-12, atol=0)
+        # skewness and kurtosis are dimensionless: cubes and fourth powers are
+        # now products rather than pow calls, so compare relative to max(1, |ref|)
+        assert np.all(np.abs(out[:, 5:] - ref[:, 5:]) <= 1e-12 * np.maximum(1.0, np.abs(ref[:, 5:])))
+
     def test_constant_series(self):
         out = aggregate(np.full(7, 3.25))
         np.testing.assert_allclose(out, [3.25, 0, 3.25, 3.25, 3.25, 0, 0], atol=1e-12)
@@ -251,6 +401,23 @@ class TestExtract:
         with pytest.raises(FingerprintError):
             extract(AudioSignal(np.zeros(100), 8000), default_layout(CFG))
 
+    @pytest.mark.parametrize("subbands", [False, True])
+    def test_one_aggregate_call_per_extract(self, monkeypatch, subbands):
+        cfg = FeatureConfig(subbands=subbands)
+        sig = preprocess(sine(440), cfg)
+        calls = []
+        real = features_module.aggregate
+
+        def counting(series):
+            calls.append(np.shape(series))
+            return real(series)
+
+        monkeypatch.setattr(features_module, "aggregate", counting)
+        fv = extract(sig, default_layout(cfg))
+        n_streams = len(features_module._stream_labels(cfg))
+        assert len(calls) == 1 and calls[0][0] == n_streams
+        assert fv.values.shape == (7 * n_streams + 2,)
+
     def test_subband_extraction_matches_layout(self):
         cfg = FeatureConfig(subbands=True)
         sig = preprocess(sine(440), cfg)
@@ -312,3 +479,49 @@ class TestFeatureCache:
         np.testing.assert_array_equal(labels, [0, 1, 0, 2])
         with pytest.raises(FingerprintError):
             load_feature_cache(path, "other")
+
+    def test_path_without_suffix_is_written_as_given(self, tmp_path):
+        path = tmp_path / "feats"
+        save_feature_cache(path, "fp1234", ["a.wav"], np.ones((1, 3)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["feats"]
+        _, paths, matrix, labels = load_feature_cache(path, "fp1234")
+        assert paths == ["a.wav"] and labels is None
+        np.testing.assert_array_equal(matrix, np.ones((1, 3)))
+
+    @pytest.mark.parametrize("failure", ["write", "rename"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "cache.npz"
+        save_feature_cache(path, "fp1234", ["a.wav"], np.zeros((1, 3)))
+        before = path.read_bytes()
+
+        if failure == "write":
+            def half_write(fh, **payload):
+                fh.write(before[: len(before) // 2])
+                raise OSError("no space left on device")
+
+            monkeypatch.setattr(features_module.np, "savez_compressed", half_write)
+        else:
+            def refuse(*args):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(features_module.os, "replace", refuse)
+
+        with pytest.raises(OSError):
+            save_feature_cache(path, "fp1234", ["b.wav"], np.ones((1, 3)))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.npz"]
+        _, paths, _, _ = load_feature_cache(path, "fp1234")
+        assert paths == ["a.wav"]
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.01, 0.5, 0.95])
+    def test_truncated_file_is_a_data_error(self, tmp_path, fraction):
+        path = tmp_path / "cache.npz"
+        save_feature_cache(path, "fp1234", ["a.wav"], np.random.default_rng(7).normal(size=(1, 50)))
+        data = path.read_bytes()
+        path.write_bytes(data[: int(fraction * len(data))])
+        with pytest.raises(DataError):
+            load_feature_cache(path, "fp1234")
+
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError):
+            load_feature_cache(tmp_path / "absent.npz")
