@@ -13,9 +13,13 @@ Standard deviation is the population (1/N) convention throughout. The
 "log-f" chroma variant folds a log-frequency (12 bins/octave) spectrogram
 rather than a true constant-Q transform. Both chroma variants are one
 matmul against a fold matrix cached per (n_chroma, frame, rate), as the
-mel filterbank is. Aggregation is one vectorised pass: ``extract`` stacks
-every stream row (subbands included) and computes the seven statistics
-along the time axis in a single ``aggregate`` call.
+mel filterbank is. Preprocessing designs its filters once as well: the
+polyphase low-pass is cached by the larger term of the reduced resampling
+ratio (``resample``, which ``imbalance.pitch_shift`` shares) and the
+band-pass sections by the band-pass config. Aggregation is one vectorised
+pass: ``extract`` stacks every stream row (subbands included) and
+computes the seven statistics along the time axis in a single
+``aggregate`` call.
 
 Extraction is a pure function of (bytes, config): the layout fingerprint
 binds feature matrices and model checkpoints to the exact configuration
@@ -28,8 +32,8 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
-import pickle
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -52,6 +56,7 @@ __all__ = [
     "STAT_NAMES",
     "read_wav",
     "preprocess",
+    "resample",
     "power_spectrogram",
     "magnitude_spectrogram",
     "mel_filterbank",
@@ -73,7 +78,7 @@ log = logging.getLogger(__name__)
 
 STAT_NAMES = ("mean", "std", "min", "max", "median", "skewness", "kurtosis")
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -162,11 +167,42 @@ def read_wav(path) -> AudioSignal:
     return AudioSignal(samples=samples, sample_rate=int(rate))
 
 
-def _resample(samples: np.ndarray, rate: int, target: int) -> np.ndarray:
-    if rate == target:
-        return samples
-    ratio = Fraction(target, rate).limit_denominator(1000)
-    return scipy.signal.resample_poly(samples, ratio.numerator, ratio.denominator)
+# room for every preprocess rate of a corpus plus the at most 25 upward pitch
+# shift designs, so reusable entries are not evicted
+@functools.lru_cache(maxsize=32)
+def _resample_lowpass(max_rate: int) -> np.ndarray:
+    """Read-only copy of the Kaiser low-pass ``resample_poly`` designs itself.
+
+    It depends only on ``max(up, down)`` of the reduced ratio: 20 * max_rate
+    + 1 taps, cutoff 1 / max_rate of Nyquist.
+    """
+    taps = scipy.signal.firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    taps.setflags(write=False)
+    return taps
+
+
+def resample(samples: np.ndarray, up: int, down: int, reuse_design: bool = True) -> np.ndarray:
+    """``scipy.signal.resample_poly(samples, up, down)``, bit for bit.
+
+    With ``reuse_design`` a float64 signal is filtered with the cached
+    low-pass of its reduced ratio instead of one designed per call; callers
+    pass False for ratios that rarely recur, so they cannot evict the rest.
+    """
+    g = math.gcd(up, down)
+    up, down = up // g, down // g
+    if not reuse_design or samples.dtype != np.float64 or up == down:
+        return scipy.signal.resample_poly(samples, up, down)
+    return scipy.signal.resample_poly(
+        samples, up, down, window=_resample_lowpass(max(up, down))
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _bandpass_sos(order: int, low: float, high: float, sample_rate: int) -> np.ndarray:
+    """Read-only second-order sections of the Butterworth band-pass."""
+    sos = scipy.signal.butter(order, [low, high], btype="bandpass", fs=sample_rate, output="sos")
+    sos.setflags(write=False)
+    return sos
 
 
 def preprocess(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()) -> AudioSignal:
@@ -174,18 +210,15 @@ def preprocess(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()) -> AudioS
     samples = np.asarray(sig.samples, dtype=float)
     if samples.size == 0:
         raise DataError("empty signal")
-    samples = _resample(samples, sig.sample_rate, cfg.sample_rate)
+    if sig.sample_rate != cfg.sample_rate:
+        ratio = Fraction(cfg.sample_rate, sig.sample_rate).limit_denominator(1000)
+        samples = resample(samples, ratio.numerator, ratio.denominator)
 
-    sos = scipy.signal.butter(
-        cfg.filter_order,
-        [cfg.band_low, cfg.band_high],
-        btype="bandpass",
-        fs=cfg.sample_rate,
-        output="sos",
-    )
+    sos = _bandpass_sos(cfg.filter_order, cfg.band_low, cfg.band_high, cfg.sample_rate)
     default_pad = 3 * (2 * len(sos) + 1)
     padlen = min(default_pad, max(0, len(samples) - 1))
-    filtered = scipy.signal.sosfiltfilt(sos, samples, padlen=padlen)
+    # sosfiltfilt rejects a read-only sos, so it gets a copy of the cached one
+    filtered = scipy.signal.sosfiltfilt(sos.copy(), samples, padlen=padlen)
 
     peak = np.max(np.abs(filtered))
     if peak > 0:
@@ -487,12 +520,13 @@ def save_feature_cache(path, fingerprint: str, paths, matrix, labels=None) -> No
 
     Written atomically to exactly ``path`` (no ``.npz`` is appended): the
     container is staged next to the target and renamed over it, so a failed
-    write keeps the previous file.
+    write keeps the previous file. Every entry is a plain array (``paths``
+    is fixed-width unicode), so loading never unpickles anything.
     """
     payload = {
         "version": np.array(CACHE_VERSION),
         "fingerprint": np.array(fingerprint),
-        "paths": np.array(list(paths), dtype=object),
+        "paths": np.array(list(paths), dtype=str),
         "matrix": np.asarray(matrix, dtype=float),
     }
     if labels is not None:
@@ -511,10 +545,11 @@ def save_feature_cache(path, fingerprint: str, paths, matrix, labels=None) -> No
 def load_feature_cache(path, expected_fingerprint: str | None = None):
     """Returns (fingerprint, paths, matrix, labels-or-None).
 
-    A missing, truncated or otherwise unreadable file raises ``DataError``.
+    A missing, truncated or otherwise unreadable file raises ``DataError``,
+    and so does one holding pickled objects (as version 1 caches did).
     """
     try:
-        with np.load(path, allow_pickle=True) as data:
+        with np.load(path, allow_pickle=False) as data:
             version = int(data["version"])
             if version != CACHE_VERSION:
                 raise DataError(f"unsupported feature cache version {version}")
@@ -526,7 +561,6 @@ def load_feature_cache(path, expected_fingerprint: str | None = None):
             paths = [str(p) for p in data["paths"]]
             matrix = data["matrix"]
             labels = data["labels"] if "labels" in data.files else None
-    except (OSError, EOFError, ValueError, KeyError, pickle.UnpicklingError,
-            zipfile.BadZipFile, zlib.error) as exc:
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
         raise DataError(f"unreadable feature cache {path}: {exc}") from exc
     return fingerprint, paths, matrix, labels

@@ -110,15 +110,29 @@ def _calibration_csv(report: RunReport) -> str:
 
 
 def splines_csv_text(dump: SplineDump) -> str:
+    # the same bytes as _csv_line per row: ``.17g`` already prints NaN as "nan"
     lines = [_csv_line(["layer", "out_index", "in_index", "x", "phi"])]
     for curve in dump.curves:
-        for x, phi in zip(curve.x, curve.phi):
-            lines.append(_csv_line([curve.layer, curve.out_index, curve.in_index, float(x), float(phi)]))
+        prefix = f"{curve.layer},{curve.out_index},{curve.in_index},"
+        lines.extend(
+            f"{prefix}{x:.17g},{phi:.17g}\n"
+            for x, phi in zip(curve.x.tolist(), curve.phi.tolist())
+        )
     return "".join(lines)
 
 
 def write_splines_csv(dump: SplineDump, path) -> None:
-    Path(path).write_text(splines_csv_text(dump))
+    """Write splines.csv atomically: staged next to ``path``, then renamed."""
+    text = splines_csv_text(dump)
+    path = Path(path)
+    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(staged, "w") as fh:
+            fh.write(text)
+        os.replace(staged, path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
 
 
 def export(report: RunReport, out_dir, spline_dump: SplineDump | None = None) -> list:

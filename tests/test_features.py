@@ -1,6 +1,10 @@
+import os
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,11 +13,13 @@ from kan_ausculta.errors import ContractViolation, DataError, FingerprintError
 from kan_ausculta.features import (
     AudioSignal,
     FeatureConfig,
+    _bandpass_sos,
     _chroma_from_power,
     _fft_freqs,
     _frame,
     _onset_from_mel,
     _pitch_classes,
+    _resample_lowpass,
     aggregate,
     chroma_streams,
     default_layout,
@@ -26,6 +32,7 @@ from kan_ausculta.features import (
     onset_stream,
     preprocess,
     read_wav,
+    resample,
     save_feature_cache,
     spectral_streams,
 )
@@ -99,6 +106,19 @@ def sine(freq, seconds=1.0, amplitude=0.5, sr=SR):
     return AudioSignal(samples=amplitude * np.sin(2 * np.pi * freq * t), sample_rate=sr)
 
 
+def preprocess_oracle(sig, cfg):
+    """The scipy pipeline ``preprocess`` stands for, with every design made per call."""
+    samples = np.asarray(sig.samples, dtype=float)
+    if sig.sample_rate != cfg.sample_rate:
+        ratio = Fraction(cfg.sample_rate, sig.sample_rate).limit_denominator(1000)
+        samples = scipy.signal.resample_poly(samples, ratio.numerator, ratio.denominator)
+    sos = scipy.signal.butter(cfg.filter_order, [cfg.band_low, cfg.band_high],
+                              btype="bandpass", fs=cfg.sample_rate, output="sos")
+    padlen = min(3 * (2 * len(sos) + 1), max(0, len(samples) - 1))
+    filtered = scipy.signal.sosfiltfilt(sos, samples, padlen=padlen)
+    return filtered / np.max(np.abs(filtered))
+
+
 @pytest.fixture(scope="module")
 def sine440():
     return preprocess(sine(440), CFG)
@@ -156,6 +176,42 @@ class TestPreprocess:
     def test_single_sample_survives(self):
         out = preprocess(AudioSignal(np.array([0.7]), SR), CFG)
         assert np.all(np.isfinite(out.samples))
+
+    @pytest.mark.parametrize("rate", [4000, 10000, 44100, 22050])
+    def test_matches_direct_scipy_pipeline(self, rate):
+        raw = np.random.default_rng(rate).normal(size=int(1.5 * rate))
+        sig = AudioSignal(raw, rate)
+        expected = preprocess_oracle(sig, CFG)
+        # the first call may design and cache; the second reuses the cache
+        for _ in range(2):
+            out = preprocess(sig, CFG)
+            assert out.sample_rate == SR
+            np.testing.assert_array_equal(out.samples, expected)
+
+
+class TestResample:
+    @pytest.mark.parametrize("up, down", [(441, 80), (441, 200), (1, 2), (8961, 10000),
+                                          (10000, 11223), (6, 4), (3, 3)])
+    def test_matches_resample_poly_bit_for_bit(self, up, down):
+        samples = np.random.default_rng(up).normal(size=3000)
+        expected = scipy.signal.resample_poly(samples, up, down)
+        for reuse in (True, True, False):
+            np.testing.assert_array_equal(resample(samples, up, down, reuse), expected)
+
+    def test_other_dtypes_keep_scipy_design(self):
+        samples = np.random.default_rng(1).normal(size=800).astype(np.float32)
+        out = resample(samples, 441, 80)
+        np.testing.assert_array_equal(out, scipy.signal.resample_poly(samples, 441, 80))
+        assert out.dtype == np.float32
+
+    def test_cached_designs_are_read_only(self):
+        taps = _resample_lowpass(441)
+        sos = _bandpass_sos(CFG.filter_order, CFG.band_low, CFG.band_high, CFG.sample_rate)
+        for arr in (taps, sos):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert taps.shape == (20 * 441 + 1,)
 
 
 class TestMelStream:
@@ -525,3 +581,32 @@ class TestFeatureCache:
     def test_missing_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_feature_cache(tmp_path / "absent.npz")
+
+    def test_empty_paths_round_trip(self, tmp_path):
+        path = tmp_path / "cache.npz"
+        save_feature_cache(path, "fp1234", [], np.zeros((0, 3)), labels=[])
+        fingerprint, paths, matrix, labels = load_feature_cache(path, "fp1234")
+        assert fingerprint == "fp1234" and paths == []
+        assert matrix.shape == (0, 3) and labels.shape == (0,)
+
+    def test_pickled_paths_are_rejected_unopened(self, tmp_path):
+        marker = tmp_path / "unpickled"
+
+        class SideEffect:
+            def __reduce__(self):
+                return os.mkdir, (str(marker),)
+
+        path = tmp_path / "crafted.npz"
+        np.savez(path, version=np.array(features_module.CACHE_VERSION),
+                 fingerprint=np.array("fp1234"),
+                 paths=np.array([SideEffect()], dtype=object), matrix=np.zeros((1, 3)))
+        with pytest.raises(DataError):
+            load_feature_cache(path, "fp1234")
+        assert not marker.exists()
+
+    def test_version_1_cache_is_unsupported(self, tmp_path):
+        path = tmp_path / "old.npz"
+        np.savez_compressed(path, version=np.array(1), fingerprint=np.array("fp1234"),
+                            paths=np.array(["a.wav"], dtype=object), matrix=np.zeros((1, 3)))
+        with pytest.raises(DataError, match="unsupported feature cache version 1"):
+            load_feature_cache(path, "fp1234")

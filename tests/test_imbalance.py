@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.signal
 
+from kan_ausculta import features as features_module
 from kan_ausculta.dataset import DatasetIndex, IndexRow
 from kan_ausculta.errors import ContractViolation
 from kan_ausculta.features import AudioSignal
@@ -14,6 +18,7 @@ from kan_ausculta.imbalance import (
     effective_neighbors,
     pitch_shift,
     smote_resample,
+    time_stretch,
 )
 
 SR = 22050
@@ -22,6 +27,19 @@ SR = 22050
 def sine(freq, seconds=1.0, sr=SR):
     t = np.arange(int(sr * seconds)) / sr
     return np.sin(2 * np.pi * freq * t)
+
+
+def pitch_shift_oracle(samples, sample_rate, semitones):
+    """``pitch_shift`` with the low-pass designed by ``resample_poly`` on every call."""
+    n = len(samples)
+    ratio = Fraction(max(1, int(round(10000 / 2.0 ** (semitones / 12.0)))), 10000)
+    sped = scipy.signal.resample_poly(samples, ratio.numerator, ratio.denominator)
+    stretched = time_stretch(sped, n / max(1, len(sped)))
+    if len(stretched) >= n:
+        return stretched[:n]
+    out = np.zeros(n)
+    out[: len(stretched)] = stretched
+    return out
 
 
 class TestSmote:
@@ -165,6 +183,43 @@ class TestTransforms:
         for semis in (-2.0, -0.7, 0.3, 1.9):
             out = pitch_shift(samples, SR, semis)
             assert len(out) == len(samples)
+
+    @pytest.mark.parametrize("semitones", [12.0, -12.0, 1.9, -1.9, 0.3, -0.7, 2.37, -2.37])
+    def test_pitch_shift_matches_per_call_design(self, semitones):
+        samples = np.random.default_rng(4).normal(size=6000)
+        expected = pitch_shift_oracle(samples, SR, semitones)
+        for _ in range(2):
+            np.testing.assert_array_equal(pitch_shift(samples, SR, semitones), expected)
+
+    def test_oracle_draws_cover_every_kind_of_ratio(self):
+        # the draws above: up and down shifts, each with a ratio that reduces
+        # and one that does not (gcd(k, 10000) == 1)
+        kinds = set()
+        for semitones in (12.0, -12.0, 1.9, -1.9, 0.3, -0.7, 2.37, -2.37):
+            k = int(round(10000 / 2.0 ** (semitones / 12.0)))
+            kinds.add((semitones > 0, Fraction(k, 10000).denominator == 10000))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_design_cache_stays_bounded(self, monkeypatch):
+        # only the routing matters here, so the filtering itself is stubbed
+        windows = []
+
+        def fake_resample_poly(x, up, down, window=None):
+            windows.append((up, down, window))
+            return x[: len(x) * up // down]
+
+        monkeypatch.setattr(features_module.scipy.signal, "resample_poly", fake_resample_poly)
+        features_module._resample_lowpass.cache_clear()
+        rng = np.random.default_rng(8)
+        samples = rng.normal(size=64)
+        for semitones in rng.uniform(-4.0, 4.0, size=500):
+            pitch_shift(samples, SR, semitones)
+        info = features_module._resample_lowpass.cache_info()
+        features_module._resample_lowpass.cache_clear()
+        # at most one design per divisor of 10000 = 2^4 * 5^4, none ever evicted
+        assert info.currsize == info.misses <= 25 and info.hits > 0
+        assert all((window is None) == (up > down) for up, down, window in windows)
+        assert any(window is None for _, _, window in windows)
 
     def test_augment_preserves_length(self):
         rng = np.random.default_rng(3)
