@@ -14,6 +14,7 @@ The package is organized around one module per pipeline stage:
 - ``config``    run configuration, presets, flat-key config files
 - ``training``  per-fold two-stage cross-validation orchestration
 - ``report``    structured run reports and CSV/JSON export
+- ``atomic``    staged-then-renamed writes shared by every saved artifact
 - ``cli``       command-line front end
 """
 

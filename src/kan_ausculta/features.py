@@ -13,10 +13,10 @@ Standard deviation is the population (1/N) convention throughout. The
 "log-f" chroma variant folds a log-frequency (12 bins/octave) spectrogram
 rather than a true constant-Q transform. Both chroma variants are one
 matmul against a fold matrix cached per (n_chroma, frame, rate), as the
-mel filterbank is. Preprocessing designs its filters once as well: the
-polyphase low-pass is cached by the larger term of the reduced resampling
-ratio (``resample``, which ``imbalance.pitch_shift`` shares) and the
-band-pass sections by the band-pass config. Aggregation is one vectorised
+mel filterbank is. Preprocessing reuses its filter designs as well: the
+band-pass sections are cached by the band-pass config, and the polyphase
+low-pass of a downsampling ratio by its reduced denominator (``resample``,
+which ``imbalance.pitch_shift`` shares). Aggregation is one vectorised
 pass: ``extract`` stacks every stream row (subbands included) and
 computes the seven statistics along the time axis in a single
 ``aggregate`` call.
@@ -33,12 +33,10 @@ import hashlib
 import json
 import logging
 import math
-import os
 import zipfile
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,6 +44,7 @@ import scipy.fft
 import scipy.io.wavfile
 import scipy.signal
 
+from .atomic import atomic_write
 from .errors import ContractViolation, DataError, FingerprintError
 
 __all__ = [
@@ -167,8 +166,8 @@ def read_wav(path) -> AudioSignal:
     return AudioSignal(samples=samples, sample_rate=int(rate))
 
 
-# room for every preprocess rate of a corpus plus the at most 25 upward pitch
-# shift designs, so reusable entries are not evicted
+# room for every downsampling rate of a corpus plus the at most 25 upward
+# pitch shift designs, so reusable entries are not evicted
 @functools.lru_cache(maxsize=32)
 def _resample_lowpass(max_rate: int) -> np.ndarray:
     """Read-only copy of the Kaiser low-pass ``resample_poly`` designs itself.
@@ -181,20 +180,21 @@ def _resample_lowpass(max_rate: int) -> np.ndarray:
     return taps
 
 
-def resample(samples: np.ndarray, up: int, down: int, reuse_design: bool = True) -> np.ndarray:
-    """``scipy.signal.resample_poly(samples, up, down)``, bit for bit.
+def resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
+    """``scipy.signal.resample_poly`` of a float64 signal, bit for bit.
 
-    With ``reuse_design`` a float64 signal is filtered with the cached
-    low-pass of its reduced ratio instead of one designed per call; callers
-    pass False for ratios that rarely recur, so they cannot evict the rest.
+    A downsampling ratio (``up < down`` once reduced) is filtered with the
+    cached low-pass of its reduced ratio instead of one designed per call.
+    An upsampling ratio keeps scipy's own design: the downward pitch shifts
+    of ``imbalance.pitch_shift`` give reduced numerators that rarely recur,
+    and caching them would evict the designs that do.
     """
+    samples = np.asarray(samples, dtype=float)
     g = math.gcd(up, down)
     up, down = up // g, down // g
-    if not reuse_design or samples.dtype != np.float64 or up == down:
+    if up >= down:
         return scipy.signal.resample_poly(samples, up, down)
-    return scipy.signal.resample_poly(
-        samples, up, down, window=_resample_lowpass(max(up, down))
-    )
+    return scipy.signal.resample_poly(samples, up, down, window=_resample_lowpass(down))
 
 
 @functools.lru_cache(maxsize=8)
@@ -531,15 +531,8 @@ def save_feature_cache(path, fingerprint: str, paths, matrix, labels=None) -> No
     }
     if labels is not None:
         payload["labels"] = np.asarray(labels, dtype=int)
-    path = Path(path)
-    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(staged, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        os.replace(staged, path)
-    except BaseException:
-        staged.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as staged, open(staged, "wb") as fh:
+        np.savez_compressed(fh, **payload)
 
 
 def load_feature_cache(path, expected_fingerprint: str | None = None):

@@ -261,18 +261,18 @@ def pitch_shift(samples: np.ndarray, sample_rate: int, semitones: float) -> np.n
     lengthening the signal; an overlap-add stretch restores the original
     length. Output length matches the input exactly.
 
-    The ratio is k/10000. An upward shift (k < 10000) reduces to a
-    denominator dividing 10000, so it reuses one of at most 25 cached
-    low-pass designs; a downward shift's reduced numerator (10001 up to
-    about 12600) rarely recurs, so its design is made per call and never
-    enters the cache.
+    The ratio is k/10000. An upward shift (k < 10000) downsamples by a
+    reduced denominator dividing 10000, so it reuses one of at most 25
+    cached low-pass designs; a downward shift (k > 10000) upsamples, and its
+    reduced numerator (up to about 12600) rarely recurs, so ``resample``
+    designs its filter per call and never caches it.
     """
     n = len(samples)
     if semitones == 0.0 or n == 0:
         return samples.copy()
     factor = 2.0 ** (semitones / 12.0)
     ratio = Fraction(max(1, int(round(10000 / factor))), 10000)
-    sped = resample(samples, ratio.numerator, ratio.denominator, reuse_design=semitones > 0)
+    sped = resample(samples, ratio.numerator, ratio.denominator)
     stretched = time_stretch(sped, n / max(1, len(sped)))
     if len(stretched) >= n:
         return stretched[:n]

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import FingerprintError, ShapeError
 from .kan import KanLayer, KanNetwork, kan_network_init, network_backward, network_forward
 from .lstm import BiLstm, BiLstmGrads, LstmWeights, bilstm_backward, bilstm_encode, bilstm_init
@@ -203,16 +202,8 @@ def save_checkpoint(
         arrays["scaler_scale"] = scaler_scale
     buf = io.BytesIO()
     np.savez(buf, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
-    # stage next to the target and rename, so a failed write keeps the old file
-    path = Path(path)
-    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(staged, "wb") as fh:
-            fh.write(buf.getvalue())
-        os.replace(staged, path)
-    except BaseException:
-        staged.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as staged, open(staged, "wb") as fh:
+        fh.write(buf.getvalue())
 
 
 def load_checkpoint(path, expected_fingerprint: str | None = None):

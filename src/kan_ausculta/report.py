@@ -14,6 +14,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import DataError
 from .kan import SplineDump
 from .training import RunReport
@@ -124,15 +125,8 @@ def splines_csv_text(dump: SplineDump) -> str:
 def write_splines_csv(dump: SplineDump, path) -> None:
     """Write splines.csv atomically: staged next to ``path``, then renamed."""
     text = splines_csv_text(dump)
-    path = Path(path)
-    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(staged, "w") as fh:
-            fh.write(text)
-        os.replace(staged, path)
-    except BaseException:
-        staged.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as staged, open(staged, "w") as fh:
+        fh.write(text)
 
 
 def export(report: RunReport, out_dir, spline_dump: SplineDump | None = None) -> list:

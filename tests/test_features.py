@@ -8,6 +8,7 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kan_ausculta import atomic as atomic_module
 from kan_ausculta import features as features_module
 from kan_ausculta.errors import ContractViolation, DataError, FingerprintError
 from kan_ausculta.features import (
@@ -190,19 +191,21 @@ class TestPreprocess:
 
 
 class TestResample:
-    @pytest.mark.parametrize("up, down", [(441, 80), (441, 200), (1, 2), (8961, 10000),
+    @pytest.mark.parametrize("up, down", [(441, 80), (441, 200), (1, 2), (40, 441), (8961, 10000),
                                           (10000, 11223), (6, 4), (3, 3)])
     def test_matches_resample_poly_bit_for_bit(self, up, down):
         samples = np.random.default_rng(up).normal(size=3000)
         expected = scipy.signal.resample_poly(samples, up, down)
-        for reuse in (True, True, False):
-            np.testing.assert_array_equal(resample(samples, up, down, reuse), expected)
+        # the first call may design and cache; the second reuses the cache
+        for _ in range(2):
+            np.testing.assert_array_equal(resample(samples, up, down), expected)
 
-    def test_other_dtypes_keep_scipy_design(self):
+    def test_float32_input_is_resampled_as_float64(self):
         samples = np.random.default_rng(1).normal(size=800).astype(np.float32)
-        out = resample(samples, 441, 80)
-        np.testing.assert_array_equal(out, scipy.signal.resample_poly(samples, 441, 80))
-        assert out.dtype == np.float32
+        out = resample(samples, 80, 441)
+        expected = scipy.signal.resample_poly(samples.astype(float), 80, 441)
+        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == np.float64
 
     def test_cached_designs_are_read_only(self):
         taps = _resample_lowpass(441)
@@ -560,7 +563,7 @@ class TestFeatureCache:
             def refuse(*args):
                 raise OSError("rename refused")
 
-            monkeypatch.setattr(features_module.os, "replace", refuse)
+            monkeypatch.setattr(atomic_module.os, "replace", refuse)
 
         with pytest.raises(OSError):
             save_feature_cache(path, "fp1234", ["b.wav"], np.ones((1, 3)))

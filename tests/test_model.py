@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kan_ausculta import atomic as atomic_module
 from kan_ausculta import model as model_module
 from kan_ausculta.errors import FingerprintError, ShapeError
 from kan_ausculta.model import (
@@ -182,7 +183,7 @@ class TestCheckpoint:
             def refuse(*args):
                 raise OSError("rename refused")
 
-            monkeypatch.setattr(model_module.os, "replace", refuse)
+            monkeypatch.setattr(atomic_module.os, "replace", refuse)
 
         with pytest.raises(OSError):
             save_checkpoint(small_model(seed=15), path, fingerprint="abc123")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kan_ausculta import atomic as atomic_module
 from kan_ausculta import report as report_module
 from kan_ausculta.kan import export_splines, kan_network_init
 from kan_ausculta.report import splines_csv_text, write_splines_csv
@@ -75,7 +76,7 @@ class TestSplinesCsv:
             def refuse(*args):
                 raise OSError("rename refused")
 
-            monkeypatch.setattr(report_module.os, "replace", refuse)
+            monkeypatch.setattr(atomic_module.os, "replace", refuse)
 
         with pytest.raises(OSError):
             write_splines_csv(make_dump(5), path)
