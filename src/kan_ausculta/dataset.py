@@ -55,9 +55,6 @@ class DatasetIndex:
             counts[self.class_names[row.label]] += 1
         return counts
 
-    def subset(self, positions) -> "DatasetIndex":
-        return DatasetIndex(rows=[self.rows[i] for i in positions], class_names=self.class_names)
-
     def with_folds(self, fold_of: np.ndarray, val_fold: int) -> "DatasetIndex":
         """Copy with split tags set for one validation fold."""
         rows = [

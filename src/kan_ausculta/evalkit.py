@@ -45,9 +45,6 @@ class FoldAssignment:
     def val_positions(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of == fold)
 
-    def train_positions(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of != fold)
-
 
 def stratified_kfold(labels, k: int, seed: int) -> FoldAssignment:
     """Deal each class's shuffled samples round-robin across folds.

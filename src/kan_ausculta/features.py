@@ -16,10 +16,13 @@ matmul against a fold matrix cached per (n_chroma, frame, rate), as the
 mel filterbank is. Preprocessing reuses its filter designs as well: the
 band-pass sections are cached by the band-pass config, and the polyphase
 low-pass of a downsampling ratio by its reduced denominator (``resample``,
-which ``imbalance.pitch_shift`` shares). Aggregation is one vectorised
-pass: ``extract`` stacks every stream row (subbands included) and
-computes the seven statistics along the time axis in a single
-``aggregate`` call.
+which ``imbalance.pitch_shift`` shares).
+
+``extract`` is two steps. ``streams`` computes one magnitude STFT and
+derives every per-frame stream from it, returned by name in the order of
+the layout's stream labels (subbands included), together with the onset
+count and rate. ``aggregate`` then computes the seven statistics of every
+stacked stream row along the time axis in one vectorised pass.
 
 Extraction is a pure function of (bytes, config): the layout fingerprint
 binds feature matrices and model checkpoints to the exact configuration
@@ -56,16 +59,11 @@ __all__ = [
     "read_wav",
     "preprocess",
     "resample",
-    "power_spectrogram",
     "magnitude_spectrogram",
     "mel_filterbank",
     "mel_band_centers",
-    "mel_stream",
     "mfcc_from_mel",
-    "mfcc_stream",
-    "chroma_streams",
-    "spectral_streams",
-    "onset_stream",
+    "streams",
     "aggregate",
     "default_layout",
     "extract",
@@ -250,11 +248,6 @@ def magnitude_spectrogram(sig: AudioSignal, cfg: FeatureConfig) -> np.ndarray:
     return np.abs(np.fft.rfft(frames * window, axis=1)).T
 
 
-def power_spectrogram(sig: AudioSignal, cfg: FeatureConfig) -> np.ndarray:
-    mag = magnitude_spectrogram(sig, cfg)
-    return mag * mag
-
-
 def _fft_freqs(cfg: FeatureConfig) -> np.ndarray:
     return np.fft.rfftfreq(cfg.frame_length, d=1.0 / cfg.sample_rate)
 
@@ -289,13 +282,6 @@ def mel_band_centers(cfg: FeatureConfig) -> np.ndarray:
     return mel_to_hz(mel_points)[1:-1]
 
 
-def mel_stream(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """(n_mels, T) mel power spectrogram."""
-    power = power_spectrogram(sig, cfg)
-    filters = mel_filterbank(cfg.n_mels, cfg.frame_length, cfg.sample_rate)
-    return filters @ power
-
-
 def mfcc_from_mel(mel: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """(3 * n_mfcc, T): cepstra from log-mel plus delta and delta-delta rows."""
     log_mel = np.log(mel + 1e-10)
@@ -303,10 +289,6 @@ def mfcc_from_mel(mel: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     d1 = _delta(cepstra)
     d2 = _delta(d1)
     return np.vstack([cepstra, d1, d2])
-
-
-def mfcc_stream(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    return mfcc_from_mel(mel_stream(sig, cfg), cfg)
 
 
 def _delta(rows: np.ndarray, half_window: int = 2) -> np.ndarray:
@@ -368,11 +350,6 @@ def _chroma_from_power(power: np.ndarray, cfg: FeatureConfig):
     return chroma_stft, chroma_logf
 
 
-def chroma_streams(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()):
-    """Two (12, T) chroma variants: direct STFT folding and log-frequency folding."""
-    return _chroma_from_power(power_spectrogram(sig, cfg), cfg)
-
-
 def _spectral_from_mag(mag: np.ndarray, cfg: FeatureConfig):
     freqs = _fft_freqs(cfg)
     total = mag.sum(axis=0)
@@ -387,11 +364,6 @@ def _spectral_from_mag(mag: np.ndarray, cfg: FeatureConfig):
         spread *= mag
         bandwidth[voiced] = np.sqrt(spread.sum(axis=0) / total[voiced])
     return centroid, bandwidth
-
-
-def spectral_streams(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()):
-    """Per-frame magnitude-weighted mean frequency and spread around it."""
-    return _spectral_from_mag(magnitude_spectrogram(sig, cfg), cfg)
 
 
 def _onset_from_mel(mel: np.ndarray, duration: float):
@@ -410,14 +382,37 @@ def _onset_from_mel(mel: np.ndarray, duration: float):
     return flux, count, rate
 
 
-def onset_stream(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()):
-    """Onset strength envelope, onset count, and onsets per second.
+def streams(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()):
+    """Every per-frame stream of one signal from a single STFT.
 
-    The envelope is the half-wave-rectified positive spectral flux of the
-    mel spectrogram summed over bands; onsets are local envelope maxima
-    (within +/- 3 frames) exceeding mean + 1 std.
+    Returns ``(frames, onset_count, onset_rate)``. ``frames`` maps each
+    stream name to its (rows, T) or (T,) array, in ``_stream_labels`` order:
+    mel power, MFCC with delta and delta-delta rows, the two chroma
+    variants, spectral centroid and bandwidth (magnitude-weighted mean
+    frequency and the spread around it), the onset envelope, and with
+    ``subbands`` the four mel-group means. The onset envelope is the
+    half-wave-rectified positive spectral flux of the mel spectrogram summed
+    over bands; onsets are local envelope maxima (within +/- 3 frames)
+    exceeding mean + 1 std, and the rate is onsets per second.
     """
-    return _onset_from_mel(mel_stream(sig, cfg), sig.duration)
+    mag = magnitude_spectrogram(sig, cfg)
+    power = mag * mag
+    mel = mel_filterbank(cfg.n_mels, cfg.frame_length, cfg.sample_rate) @ power
+    chroma_stft, chroma_logf = _chroma_from_power(power, cfg)
+    centroid, bandwidth = _spectral_from_mag(mag, cfg)
+    envelope, n_onsets, onset_rate = _onset_from_mel(mel, sig.duration)
+    frames = {
+        "mel": mel,
+        "mfcc": mfcc_from_mel(mel, cfg),
+        "chroma_stft": chroma_stft,
+        "chroma_logf": chroma_logf,
+        "centroid": centroid,
+        "bandwidth": bandwidth,
+        "onset_envelope": envelope,
+    }
+    if cfg.subbands:
+        frames["mel_subband"] = np.vstack([g.mean(axis=0) for g in np.array_split(mel, 4, axis=0)])
+    return frames, n_onsets, onset_rate
 
 
 # ----------------------------------------------------------------------------
@@ -489,19 +484,8 @@ def extract(sig: AudioSignal, layout: FeatureLayout) -> FeatureVector:
     if not samples.size or not np.any(samples):
         return FeatureVector(values=np.zeros(layout.dim), fingerprint=layout.fingerprint)
 
-    mag = magnitude_spectrogram(sig, cfg)
-    power = mag * mag
-    mel = mel_filterbank(cfg.n_mels, cfg.frame_length, cfg.sample_rate) @ power
-    mfcc = mfcc_from_mel(mel, cfg)
-    chroma_stft, chroma_logf = _chroma_from_power(power, cfg)
-    centroid, bandwidth = _spectral_from_mag(mag, cfg)
-    envelope, n_onsets, onset_rate = _onset_from_mel(mel, sig.duration)
-
-    streams = [mel, mfcc, chroma_stft, chroma_logf, centroid, bandwidth, envelope]
-    if cfg.subbands:
-        streams += [g.mean(axis=0) for g in np.array_split(mel, 4, axis=0)]
-
-    stats = aggregate(np.vstack(streams))
+    frames, n_onsets, onset_rate = streams(sig, cfg)
+    stats = aggregate(np.vstack(list(frames.values())))
     values = np.concatenate([stats.ravel(), [float(n_onsets), onset_rate]])
     if values.shape[0] != layout.dim:
         raise FingerprintError(

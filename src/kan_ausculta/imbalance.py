@@ -8,10 +8,14 @@ SMOTE operates on extracted feature vectors: each synthetic point is
 ``x + u * (x_nn - x)`` for a uniform ``u`` and one of the k nearest
 same-class neighbors (Euclidean), with k shrunk to ``class_count - 1``
 for very small classes. Augmentation operates on raw audio before feature
-extraction: a per-sample probability gate decides whether to augment at
-all; when it fires, each of the three transforms (additive Gaussian
-noise, circular time shift, pitch shift) is applied independently with
-probability 0.5.
+extraction: a per-sample probability gate, resolved per class by
+``AugmentConfig.probability_for``, decides whether to augment at all; when
+it fires, ``apply_transforms`` applies each of the three transforms
+(additive Gaussian noise, circular time shift, pitch shift) independently
+with probability 0.5. The gate is drawn in
+``training.AudioFeatureSource.epoch_features``, once per training row and
+before the recording is decoded, so rows it skips reuse their cached
+features.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .dataset import DatasetIndex, IndexRow
 from .errors import ContractViolation
-from .features import AudioSignal, resample
+from .features import resample
 
 __all__ = [
     "AugmentConfig",
@@ -36,7 +40,6 @@ __all__ = [
     "time_stretch",
     "pitch_shift",
     "apply_transforms",
-    "augment_signal",
     "build_stage1_subset",
 ]
 
@@ -302,32 +305,6 @@ def apply_transforms(
         semitones = rng.uniform(-pitch_range, pitch_range)
         out = pitch_shift(out, sample_rate, semitones)
     return out
-
-
-def augment_signal(
-    signal: AudioSignal,
-    label: int,
-    cfg: AugmentConfig,
-    rng: np.random.Generator,
-    class_name: str | None = None,
-    split_tag: str | None = None,
-) -> AudioSignal:
-    """Probabilistically apply the noise/shift/pitch bundle to one recording.
-
-    The class-resolved probability gates the whole bundle; each transform
-    then flips an independent fair coin. Length is always preserved.
-    """
-    if split_tag is not None:
-        _guard_train_only([split_tag], "augment_signal")
-    samples = np.asarray(signal.samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("cannot augment an empty signal")
-
-    probability = cfg.probability_for(class_name)
-    if rng.random() >= probability:
-        return AudioSignal(samples=samples.copy(), sample_rate=signal.sample_rate)
-    out = apply_transforms(samples, signal.sample_rate, cfg, rng, class_name)
-    return AudioSignal(samples=out, sample_rate=signal.sample_rate)
 
 
 def build_stage1_subset(

@@ -66,42 +66,16 @@ class FocalParams:
                 vector[class_names.index(name)] = float(value)
         return FocalParams(alpha=self.alpha, gamma=self.gamma, alpha_per_class=vector)
 
-    def alpha_for(self, target: int) -> float:
-        if self.alpha_per_class is not None:
-            return float(self.alpha_per_class[target])
-        return self.alpha
-
 
 def focal_loss(probs, target: int, fp: FocalParams):
     """Loss and exact logit gradient for one probability vector.
 
-    ``probs`` must lie on the simplex (a softmax output). The returned
-    gradient is d(loss)/d(logits) under the softmax parameterization, so
-    its components always sum to zero.
+    ``focal_loss_batch`` on a batch of one. ``probs`` must lie on the
+    simplex (a softmax output). The returned gradient is d(loss)/d(logits)
+    under the softmax parameterization, so its components always sum to zero.
     """
-    probs = np.asarray(probs, dtype=float)
-    n_classes = probs.shape[-1]
-    if not (0 <= int(target) < n_classes):
-        raise ValueError(f"target {target} out of range for {n_classes} classes")
-    target = int(target)
-
-    alpha = fp.alpha_for(target)
-    gamma = fp.gamma
-    p_t = float(np.clip(probs[target], PROB_CLAMP, 1.0 - PROB_CLAMP))
-    one_minus = 1.0 - p_t
-    log_p = math.log(p_t)
-    loss = -alpha * one_minus**gamma * log_p
-
-    # d(loss)/d(p_t); the gamma=0 branch avoids 0^(-1) when p_t == 1.
-    if gamma == 0.0:
-        dl_dp = -alpha / p_t
-    else:
-        dl_dp = alpha * (gamma * one_minus ** (gamma - 1.0) * log_p - one_minus**gamma / p_t)
-
-    # chain through softmax: dp_t/dlogit_j = p_t * (delta_tj - p_j)
-    grad_logits = dl_dp * p_t * (-probs)
-    grad_logits[target] += dl_dp * p_t
-    return loss, grad_logits
+    loss, grad = focal_loss_batch(np.asarray(probs, dtype=float)[None, :], [target], fp)
+    return loss, grad[0]
 
 
 def focal_loss_batch(probs, targets, fp: FocalParams):
@@ -123,11 +97,13 @@ def focal_loss_batch(probs, targets, fp: FocalParams):
     one_minus = 1.0 - p_t
     log_p = np.log(p_t)
     losses = -alpha * one_minus**gamma * log_p
+    # d(loss)/d(p_t); the gamma=0 branch avoids 0^(-1) when p_t == 1.
     if gamma == 0.0:
         dl_dp = -alpha / p_t
     else:
         dl_dp = alpha * (gamma * one_minus ** (gamma - 1.0) * log_p - one_minus**gamma / p_t)
 
+    # chain through softmax: dp_t/dlogit_j = p_t * (delta_tj - p_j)
     grad = (dl_dp * p_t)[:, None] * (-probs)
     grad[np.arange(n), targets] += dl_dp * p_t
     return float(losses.mean()), grad / n

@@ -100,8 +100,6 @@ class Scaler:
 class ArrayFeatureSource:
     """Pre-extracted feature matrix keyed by row path (cache files, synthetic data)."""
 
-    can_augment = False
-
     def __init__(self, paths, matrix, fingerprint: str | None = None):
         matrix = np.asarray(matrix, dtype=float)
         if len(paths) != matrix.shape[0]:
@@ -117,6 +115,7 @@ class ArrayFeatureSource:
         return np.stack([self._by_path[row.path] for row in rows])
 
     def epoch_features(self, rows, rng, augment_cfg, class_names) -> np.ndarray:
+        """The base rows: there is no audio to augment, so ``rng`` is not drawn."""
         if not self._warned:
             log.warning("feature source has no audio; time-domain augmentation skipped")
             self._warned = True
@@ -125,8 +124,6 @@ class ArrayFeatureSource:
 
 class AudioFeatureSource:
     """Extract features from WAV files, caching the non-augmented baseline."""
-
-    can_augment = True
 
     def __init__(self, feature_config, cache: dict | None = None):
         self.layout = default_layout(feature_config)
@@ -149,13 +146,16 @@ class AudioFeatureSource:
     def epoch_features(self, rows, rng, augment_cfg, class_names) -> np.ndarray:
         """Per-epoch augmented extraction; unchanged signals reuse the cache.
 
-        The probability gate is drawn per row in row order so the stream is
-        deterministic; only rows whose gate fires pay for re-extraction.
+        This is the augmentation gate: its class-resolved probability is
+        drawn per row in row order, before anything is decoded, so the
+        stream is deterministic and only rows whose gate fires pay for
+        re-extraction. A validation row anywhere in ``rows`` is refused
+        before any row is read or any number drawn.
         """
+        if any(row.split == "val" for row in rows):
+            raise ContractViolation("augmentation path received a validation row")
         out = np.empty((len(rows), self.d_feat))
         for i, row in enumerate(rows):
-            if row.split == "val":
-                raise ContractViolation("augmentation path received a validation row")
             name = class_names[row.label]
             if rng.random() < augment_cfg.probability_for(name):
                 raw = read_wav(row.path)
@@ -429,7 +429,7 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
     static_augmented = None
     train_tags = [row.split for row in train_rows]
     for epoch in range(1, cfg.train.stage2_max_epochs + 1):
-        if cfg.augment.enabled and source.can_augment:
+        if cfg.augment.enabled:
             if cfg.augment.per_epoch or static_augmented is None:
                 X_train = source.epoch_features(train_rows, rng_aug, cfg.augment, class_names)
                 if not cfg.augment.per_epoch:

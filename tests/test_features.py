@@ -15,6 +15,7 @@ from kan_ausculta.features import (
     AudioSignal,
     FeatureConfig,
     _bandpass_sos,
+    _stream_labels,
     _chroma_from_power,
     _fft_freqs,
     _frame,
@@ -22,24 +23,35 @@ from kan_ausculta.features import (
     _pitch_classes,
     _resample_lowpass,
     aggregate,
-    chroma_streams,
     default_layout,
     extract,
     load_feature_cache,
     mel_band_centers,
-    mel_stream,
     mfcc_from_mel,
-    mfcc_stream,
-    onset_stream,
     preprocess,
     read_wav,
     resample,
     save_feature_cache,
-    spectral_streams,
+    streams,
 )
 
 CFG = FeatureConfig()
 SR = CFG.sample_rate
+
+
+def chroma(sig):
+    frames, _, _ = streams(sig, CFG)
+    return frames["chroma_stft"], frames["chroma_logf"]
+
+
+def spectral(sig):
+    frames, _, _ = streams(sig, CFG)
+    return frames["centroid"], frames["bandwidth"]
+
+
+def onsets(sig):
+    frames, count, rate = streams(sig, CFG)
+    return frames["onset_envelope"], count, rate
 
 
 # ----------------------------------------------------------------------------
@@ -219,14 +231,14 @@ class TestResample:
 
 class TestMelStream:
     def test_zero_signal_all_zero(self):
-        mel = mel_stream(AudioSignal(np.zeros(SR), SR), CFG)
+        mel = streams(AudioSignal(np.zeros(SR), SR), CFG)[0]["mel"]
         assert mel.shape[0] == 128
         assert np.all(mel == 0)
 
     def test_white_noise_excites_every_band(self):
         noise = np.random.default_rng(0).normal(size=SR)
         sig = preprocess(AudioSignal(noise, SR), CFG)
-        mel = mel_stream(sig, CFG)
+        mel = streams(sig, CFG)[0]["mel"]
         # bands inside the band-pass range carry energy; all means are finite
         assert np.all(np.isfinite(mel))
         centers = mel_band_centers(CFG)
@@ -234,7 +246,7 @@ class TestMelStream:
         assert np.all(mel[inband].mean(axis=1) > 0)
 
     def test_sine_peaks_at_nearest_band(self, sine440):
-        mel = mel_stream(sine440, CFG)
+        mel = streams(sine440, CFG)[0]["mel"]
         centers = mel_band_centers(CFG)
         assert mel.mean(axis=1).argmax() == np.abs(centers - 440).argmin()
 
@@ -253,25 +265,25 @@ class TestMfcc:
         assert np.abs(deltas).max() < 1e-12
 
     def test_row_count_is_three_times_n_mfcc(self, sine440):
-        assert mfcc_stream(sine440, CFG).shape[0] == 120
+        assert streams(sine440, CFG)[0]["mfcc"].shape[0] == 120
 
 
 class TestChroma:
     def test_a4_dominates_both_variants(self, sine440):
-        stft, logf = chroma_streams(sine440, CFG)
+        stft, logf = chroma(sine440)
         assert stft.mean(axis=1).argmax() == 9  # pitch class A
         assert logf.mean(axis=1).argmax() == 9
 
     def test_zero_signal_zero_chroma(self):
-        stft, logf = chroma_streams(AudioSignal(np.zeros(SR), SR), CFG)
+        stft, logf = chroma(AudioSignal(np.zeros(SR), SR))
         assert np.all(stft == 0) and np.all(logf == 0)
 
     def test_octave_transposition_keeps_pitch_class(self):
         lo = preprocess(sine(330), CFG)
         hi = preprocess(sine(660), CFG)
         for sig_lo, sig_hi in ((lo, hi),):
-            a, _ = chroma_streams(sig_lo, CFG)
-            b, _ = chroma_streams(sig_hi, CFG)
+            a, _ = chroma(sig_lo)
+            b, _ = chroma(sig_hi)
             assert a.mean(axis=1).argmax() == b.mean(axis=1).argmax()
 
     @pytest.mark.parametrize(
@@ -292,24 +304,24 @@ class TestChroma:
 
 class TestSpectral:
     def test_pure_tone_centroid_within_one_bin(self, sine440):
-        centroid, _ = spectral_streams(sine440, CFG)
+        centroid, _ = spectral(sine440)
         bin_width = SR / CFG.frame_length
         voiced = centroid > 0
         assert np.all(np.abs(centroid[voiced] - 440.0) < bin_width)
 
     def test_pure_tone_bandwidth_below_two_bins(self, sine440):
-        _, bandwidth = spectral_streams(sine440, CFG)
+        _, bandwidth = spectral(sine440)
         bin_width = SR / CFG.frame_length
         assert np.median(bandwidth[bandwidth > 0]) < 2 * bin_width
 
     def test_silence_gives_zeros(self):
-        centroid, bandwidth = spectral_streams(AudioSignal(np.zeros(SR), SR), CFG)
+        centroid, bandwidth = spectral(AudioSignal(np.zeros(SR), SR))
         assert np.all(centroid == 0) and np.all(bandwidth == 0)
 
 
 class TestOnsets:
     def test_silence(self):
-        envelope, count, rate = onset_stream(AudioSignal(np.zeros(SR), SR), CFG)
+        envelope, count, rate = onsets(AudioSignal(np.zeros(SR), SR))
         assert np.all(envelope == 0)
         assert count == 0 and rate == 0
 
@@ -317,7 +329,7 @@ class TestOnsets:
         samples = np.zeros(SR)
         samples[SR // 2] = 1.0
         sig = preprocess(AudioSignal(samples, SR), CFG)
-        _, count, rate = onset_stream(sig, CFG)
+        _, count, rate = onsets(sig)
         assert count == 1
         assert rate == pytest.approx(1.0, abs=0.05)
 
@@ -328,8 +340,8 @@ class TestOnsets:
                 samples[int((k + 0.5) * 0.25 * SR)] = 1.0
             return preprocess(AudioSignal(samples, SR), CFG)
 
-        _, _, rate1 = onset_stream(clicks(1.0), CFG)
-        _, _, rate2 = onset_stream(clicks(2.0), CFG)
+        _, _, rate1 = onsets(clicks(1.0))
+        _, _, rate2 = onsets(clicks(2.0))
         assert rate1 > 0
         assert abs(rate1 - rate2) <= 0.1 * rate1
 
@@ -476,6 +488,27 @@ class TestExtract:
         n_streams = len(features_module._stream_labels(cfg))
         assert len(calls) == 1 and calls[0][0] == n_streams
         assert fv.values.shape == (7 * n_streams + 2,)
+
+    @pytest.mark.parametrize("subbands", [False, True])
+    def test_streams_expand_to_stream_labels(self, subbands):
+        cfg = FeatureConfig(subbands=subbands)
+        frames, _, _ = streams(preprocess(sine(440), cfg), cfg)
+        labels = []
+        for name, rows in frames.items():
+            labels += [name] if rows.ndim == 1 else [f"{name}[{i}]" for i in range(len(rows))]
+        assert labels == _stream_labels(cfg)
+
+    def test_one_stft_per_extract(self, monkeypatch, sine440):
+        calls = []
+        real = features_module.magnitude_spectrogram
+
+        def counting(sig, cfg):
+            calls.append(cfg)
+            return real(sig, cfg)
+
+        monkeypatch.setattr(features_module, "magnitude_spectrogram", counting)
+        extract(sine440, default_layout(CFG))
+        assert calls == [CFG]
 
     def test_subband_extraction_matches_layout(self):
         cfg = FeatureConfig(subbands=True)

@@ -2,17 +2,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 import scipy.signal
 
 from kan_ausculta import features as features_module
+from kan_ausculta import training
 from kan_ausculta.dataset import DatasetIndex, IndexRow
-from kan_ausculta.errors import ContractViolation
-from kan_ausculta.features import AudioSignal
+from kan_ausculta.errors import ContractViolation, DataError
+from kan_ausculta.features import FeatureConfig
 from kan_ausculta.imbalance import (
     AugmentConfig,
     SmoteConfig,
     add_noise,
-    augment_signal,
+    apply_transforms,
     build_stage1_subset,
     circular_shift,
     effective_neighbors,
@@ -27,6 +29,19 @@ SR = 22050
 def sine(freq, seconds=1.0, sr=SR):
     t = np.arange(int(sr * seconds)) / sr
     return np.sin(2 * np.pi * freq * t)
+
+
+CLASS_NAMES = ("c0",)
+
+
+def audio_rows(tmp_path, n, seconds=0.5):
+    """An audio feature source and ``n`` training rows of short written WAVs."""
+    rows = []
+    for k in range(n):
+        path = tmp_path / f"{k}.wav"
+        scipy.io.wavfile.write(path, SR, (0.5 * sine(200 + 50 * k, seconds)).astype(np.float32))
+        rows.append(IndexRow(path=str(path), patient_id=str(k), label=0, split="train"))
+    return training.AudioFeatureSource(FeatureConfig()), rows
 
 
 def pitch_shift_oracle(samples, sample_rate, semitones):
@@ -144,11 +159,15 @@ class TestSmote:
 
 
 class TestTransforms:
-    def test_zero_probability_is_identity(self):
-        sig = AudioSignal(sine(200), SR)
+    def test_zero_probability_is_identity(self, tmp_path, monkeypatch):
+        source, rows = audio_rows(tmp_path, 3)
+        transformed = []
+        monkeypatch.setattr(training, "apply_transforms",
+                            lambda *args, **kwargs: transformed.append(args))
         cfg = AugmentConfig(base_probability=0.0)
-        out = augment_signal(sig, 0, cfg, np.random.default_rng(0))
-        assert np.array_equal(out.samples, sig.samples)
+        out = source.epoch_features(rows, np.random.default_rng(0), cfg, CLASS_NAMES)
+        assert transformed == []
+        np.testing.assert_array_equal(out, source.base_features(rows))
 
     def test_circular_shift_preserves_multiset(self):
         samples = sine(150)
@@ -223,11 +242,10 @@ class TestTransforms:
 
     def test_augment_preserves_length(self):
         rng = np.random.default_rng(3)
-        sig = AudioSignal(sine(250), SR)
-        cfg = AugmentConfig(base_probability=1.0)
+        samples = sine(250)
         for _ in range(5):
-            out = augment_signal(sig, 0, cfg, rng)
-            assert len(out.samples) == len(sig.samples)
+            out = apply_transforms(samples, SR, AugmentConfig(), rng)
+            assert len(out) == len(samples)
 
     def test_class_probability_override(self):
         cfg = AugmentConfig()
@@ -236,16 +254,19 @@ class TestTransforms:
         assert cfg.pitch_range_for("URTI") == 1.0
         assert cfg.pitch_range_for(None) == cfg.pitch_range_semitones
 
-    def test_empty_signal_rejected(self):
-        with pytest.raises(ValueError):
-            augment_signal(AudioSignal(np.array([]), SR), 0, AugmentConfig(),
-                           np.random.default_rng(0))
+    def test_empty_signal_rejected(self, tmp_path):
+        source, rows = audio_rows(tmp_path, 1, seconds=0.0)
+        with pytest.raises(DataError, match="empty audio file"):
+            source.epoch_features(rows, np.random.default_rng(0),
+                                  AugmentConfig(base_probability=1.0), CLASS_NAMES)
 
-    def test_validation_tag_rejected(self):
-        sig = AudioSignal(sine(200), SR)
+    def test_validation_tag_rejected(self, tmp_path):
+        # the guard does not wait for the gate: a row it would skip is refused too
+        source, rows = audio_rows(tmp_path, 2)
+        rows[1] = IndexRow(path=rows[1].path, patient_id="1", label=0, split="val")
         with pytest.raises(ContractViolation):
-            augment_signal(sig, 0, AugmentConfig(), np.random.default_rng(0),
-                           split_tag="val")
+            source.epoch_features(rows, np.random.default_rng(0),
+                                  AugmentConfig(base_probability=0.0), CLASS_NAMES)
 
 
 def make_index(counts, split="train"):

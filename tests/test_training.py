@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from conftest import make_small_dataset
 from kan_ausculta import training
 from kan_ausculta.config import load_config
 from kan_ausculta.errors import ContractViolation, ShapeError, TrainingAbort
-from kan_ausculta.features import AudioSignal, FeatureConfig
-from kan_ausculta.imbalance import SmoteConfig, augment_signal, smote_resample
+from kan_ausculta.features import FeatureConfig
+from kan_ausculta.imbalance import AugmentConfig, SmoteConfig, smote_resample
 from kan_ausculta.report import export, load_report
 from kan_ausculta.training import (
     ArrayFeatureSource,
@@ -65,13 +66,19 @@ class TestScaler:
 class TestLeakageGuards:
     """A poisoned validation row must trip every train-only path."""
 
-    def test_augmentation_guard(self):
-        sig = AudioSignal(np.sin(np.arange(4000) / 10.0), 22050)
-        from kan_ausculta.imbalance import AugmentConfig
-
+    def test_augmentation_guard(self, monkeypatch):
+        # a validation row after training rows is refused before any row is
+        # decoded or any gate is drawn
+        index, _ = make_small_dataset()
+        rows = list(index.rows[:3]) + [dataclasses.replace(index.rows[3], split="val")]
+        decoded = []
+        monkeypatch.setattr(training, "read_wav", decoded.append)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ContractViolation):
-            augment_signal(sig, 0, AugmentConfig(), np.random.default_rng(0),
-                           split_tag="val")
+            AudioFeatureSource(FeatureConfig()).epoch_features(
+                rows, rng, AugmentConfig(base_probability=1.0), index.class_names)
+        assert decoded == [] and rng.bit_generator.state == state
 
     def test_smote_guard(self):
         features = np.zeros((4, 3))
@@ -85,14 +92,9 @@ class TestLeakageGuards:
             Scaler.fit(np.zeros((2, 2)), split_tags=["val", "train"])
 
     def test_epoch_features_guard(self):
-        index, features = make_small_dataset()
-        source = ArrayFeatureSource([r.path for r in index.rows], features)
-        # ArrayFeatureSource skips augmentation entirely; the audio source
-        # enforces the guard
+        index, _ = make_small_dataset()
         audio_source = AudioFeatureSource(FeatureConfig())
         rows = [dataclasses.replace(index.rows[0], split="val")]
-        from kan_ausculta.imbalance import AugmentConfig
-
         with pytest.raises(ContractViolation):
             audio_source.epoch_features(rows, np.random.default_rng(0),
                                         AugmentConfig(base_probability=1.0),
@@ -164,6 +166,17 @@ class TestRunCv:
         report, _ = run_cv(cfg, index, source)
         assert report.incomplete == [{"fold": 0, "error": "TrainingAbort: non-finite gradient"}]
         assert [fold.fold for fold in report.folds] == [1]
+
+    def test_array_source_warns_once_per_source(self, caplog):
+        index, features = make_small_dataset()
+        cfg = fast_config(**{"train.stage2_max_epochs": 2})
+        assert cfg.augment.enabled and cfg.augment.per_epoch
+        paths = [r.path for r in index.rows]
+        with caplog.at_level(logging.WARNING, logger="kan_ausculta.training"):
+            for _ in range(2):
+                run_cv(cfg, index, ArrayFeatureSource(paths, features))
+        skipped = [r for r in caplog.records if "augmentation skipped" in r.getMessage()]
+        assert len(skipped) == 2
 
     def test_empty_index_rejected(self, small_run):
         cfg, _, source, _, _ = small_run
