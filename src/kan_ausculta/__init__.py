@@ -4,7 +4,7 @@ The package is organized around one module per pipeline stage:
 
 - ``splines``   B-spline knot grids and basis evaluation (Cox-de Boor)
 - ``kan``       KAN layers built from learnable spline edge functions
-- ``lstm``      bidirectional LSTM encoder with exact backpropagation
+- ``lstm``      one-step bidirectional LSTM encoder with exact gradients
 - ``model``     the hybrid feature-vector -> BiLSTM -> KAN classifier
 - ``optim``     focal loss, AdamW, plateau scheduler, early stopping
 - ``imbalance`` SMOTE, time-domain augmentation, stage-1 subset builder
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 from .splines import KnotVector, bspline_basis, make_uniform_grid
 from .kan import KanLayer, KanNetwork, kan_backward, kan_forward, kan_init
-from .lstm import BiLstm, bilstm_backward, bilstm_encode, lstm_cell_step
+from .lstm import BiLstm, bilstm_backward, bilstm_encode
 from .model import HybridModel, build_model, model_backward, model_forward, softmax
 from .optim import FocalParams, adamw_step, early_stop, focal_loss, plateau_step
 
@@ -37,7 +37,6 @@ __all__ = [
     "kan_forward",
     "kan_backward",
     "BiLstm",
-    "lstm_cell_step",
     "bilstm_encode",
     "bilstm_backward",
     "HybridModel",

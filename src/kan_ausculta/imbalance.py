@@ -104,7 +104,6 @@ class SmoteConfig:
     # take precedence when provided.
     target_ratio: float = 0.5
     target_counts: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
@@ -133,11 +132,33 @@ def _smote_targets(counts: dict, cfg: SmoteConfig, class_names=None) -> dict:
     return targets
 
 
+# byte budget of one chunk of pairwise differences in _neighbor_indices
+_DISTANCE_CHUNK_BYTES = 32 * 2**20
+
+
+def _neighbor_indices(pool: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest other rows (Euclidean), nearest first.
+
+    Distances are built a block of rows at a time so the (rows, n, d)
+    difference tensor stays under ``_DISTANCE_CHUNK_BYTES``; each row's
+    distances are the same numbers the full (n, n, d) tensor gives.
+    """
+    n, d = pool.shape
+    chunk = max(1, _DISTANCE_CHUNK_BYTES // (n * d * pool.itemsize))
+    dist = np.empty((n, n))
+    for start in range(0, n, chunk):
+        diff = pool[start : start + chunk, None, :] - pool[None, :, :]
+        diff *= diff
+        dist[start : start + chunk] = np.sqrt(diff.sum(axis=2))
+    np.fill_diagonal(dist, np.inf)  # self excluded
+    return np.argsort(dist, axis=1)[:, :k]
+
+
 def smote_resample(
     features,
     labels,
     cfg: SmoteConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     split_tags=None,
     class_names=None,
 ):
@@ -151,8 +172,6 @@ def smote_resample(
     labels = np.asarray(labels, dtype=int)
     if features.shape[0] != labels.shape[0]:
         raise ValueError("features and labels disagree on the sample count")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     counts = {int(c): int(n) for c, n in zip(*np.unique(labels, return_counts=True))}
     targets = _smote_targets(counts, cfg, class_names)
@@ -169,11 +188,7 @@ def smote_resample(
             continue
         pool = features[labels == label]
         k_eff = effective_neighbors(n, cfg.k)
-        # pairwise distances within the class; self excluded via the diagonal
-        diff = pool[:, None, :] - pool[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        neighbor_idx = np.argsort(dist, axis=1)[:, :k_eff]
+        neighbor_idx = _neighbor_indices(pool, k_eff)
 
         bases = rng.integers(0, n, size=deficit)
         picks = rng.integers(0, k_eff, size=deficit)

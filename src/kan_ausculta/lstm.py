@@ -1,24 +1,27 @@
-"""Bidirectional LSTM encoder with exact backpropagation through time.
+"""Bidirectional LSTM encoder over one feature vector, with exact gradients.
 
-The production pipeline feeds the encoder length-1 sequences (one
-aggregated feature vector per recording), but the implementation supports
-general sequence lengths so the recurrence itself is testable.
+The model encodes one aggregated feature vector per recording, so each
+direction runs a single cell step from zero state, and the two directions
+differ only in their weights. With ``h_prev = c_prev = 0`` the recurrent
+product and the forget gate drop out, leaving a closed form:
+
+    a       = W x + b                   (all four gate blocks)
+    i, o    = sigmoid(a)                (their gate blocks)
+    g       = tanh(a)                   (cell-candidate block)
+    c       = i * g
+    h       = o * tanh(c)
 
 Gate layout: the input, recurrent, and bias tensors stack the four gates
 as contiguous blocks in the order (input, forget, cell, output), i.e. a
 hidden size H yields stacked shapes (4H, d_in), (4H, H), (4H,). Per-gate
-matrices are exposed as views via :meth:`LstmWeights.gate_block`.
+matrices are exposed as views via :meth:`LstmWeights.gate_block`. The
+recurrent matrix and the forget block stay parameters (checkpoints keep
+them and weight decay moves them), but their gradients are exact zeros.
 
-Cell equations (the conventional LSTM):
-    i, f, o = sigmoid(W x + U h + b)       (their gate blocks)
-    g       = tanh(W x + U h + b)          (cell-candidate block)
-    c       = f * c_prev + i * g
-    h       = o * tanh(c)
-
-The bidirectional encoder runs one direction over t = 1..L and the other
-over t = L..1 from zero initial states and concatenates the two final
-hidden states; inverted dropout is applied to the concatenated output in
-training mode only.
+The encoder concatenates the two directions' hidden states; inverted
+dropout is applied to that output in training mode only. The general
+length-L recurrence with backpropagation through time lives in
+``tests/test_lstm.py`` as the oracle this closed form is checked against.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "EncodeCache",
     "lstm_init",
     "bilstm_init",
-    "lstm_cell_step",
     "bilstm_encode",
     "bilstm_backward",
 ]
@@ -47,13 +49,10 @@ GATE_ORDER = ("input", "forget", "cell", "output")
 
 
 def _sigmoid(x):
-    # branch on sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) so
+    # exp never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -130,41 +129,13 @@ def bilstm_init(
     )
 
 
-def lstm_cell_step(w: LstmWeights, x_t, h_prev, c_prev):
-    """One cell update; accepts single vectors or leading-batch arrays.
-
-    Returns ``(h, c, cache)`` where the cache holds everything the
-    backward pass needs for this step.
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    c_prev = np.asarray(c_prev, dtype=float)
-    h_size = w.hidden_size
-    if x_t.shape[-1] != w.input_size:
-        raise ShapeError(f"expected input width {w.input_size}, got {x_t.shape[-1]}")
-    if h_prev.shape[-1] != h_size or c_prev.shape[-1] != h_size:
-        raise ShapeError("state widths do not match the hidden size")
-
-    a = x_t @ w.w_x.T + h_prev @ w.w_h.T + w.bias
-    i = _sigmoid(a[..., :h_size])
-    f = _sigmoid(a[..., h_size : 2 * h_size])
-    g = np.tanh(a[..., 2 * h_size : 3 * h_size])
-    o = _sigmoid(a[..., 3 * h_size :])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    cache = (x_t, h_prev, c_prev, i, f, g, o, c)
-    return h, c, cache
-
-
 @dataclass
 class EncodeCache:
-    fwd_steps: list
-    bwd_steps: list
+    x: np.ndarray
+    fwd_gates: tuple  # (i, g, o, tanh(c)) of the forward direction
+    bwd_gates: tuple
     dropout_mask: np.ndarray | None
-    seq_shape: tuple
-    input_size: int
     hidden_size: int
-    batched: bool
 
 
 @dataclass
@@ -180,43 +151,38 @@ class BiLstmGrads:
     backward: LstmGrads
 
 
-def _run_direction(w: LstmWeights, seq: np.ndarray, reverse: bool):
-    lead = seq.shape[:-2]
-    h = np.zeros(lead + (w.hidden_size,))
-    c = np.zeros_like(h)
-    steps = []
-    indices = range(seq.shape[-2])
-    if reverse:
-        indices = reversed(indices)
-    for t in indices:
-        h, c, cache = lstm_cell_step(w, seq[..., t, :], h, c)
-        steps.append(cache)
-    return h, steps
+def _step_from_zero(w: LstmWeights, x: np.ndarray):
+    """One cell step from zero state; returns ``(h, (i, g, o, tanh(c)))``."""
+    h_size = w.hidden_size
+    a = x @ w.w_x.T + w.bias
+    i = _sigmoid(a[..., :h_size])
+    g = np.tanh(a[..., 2 * h_size : 3 * h_size])
+    o = _sigmoid(a[..., 3 * h_size :])
+    tanh_c = np.tanh(i * g)
+    return o * tanh_c, (i, g, o, tanh_c)
 
 
 def bilstm_encode(
     m: BiLstm,
-    seq,
+    x,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ):
-    """Encode a sequence to concat(final forward state, final backward state).
+    """Encode a feature vector to concat(forward state, backward state).
 
-    ``seq`` is (L, d_in) for one sample or (B, L, d_in) for a batch. The
-    output has width 2H. In training mode an inverted-dropout mask
-    (Bernoulli keep / (1 - p)) is applied to the output so that its
-    expectation matches eval mode, which applies the identity.
+    ``x`` is (d_in,) for one sample or (B, d_in) for a batch. The output
+    has width 2H. In training mode an inverted-dropout mask (Bernoulli
+    keep / (1 - p)) is applied to the output so that its expectation
+    matches eval mode, which applies the identity.
     """
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim not in (2, 3):
-        raise ShapeError(f"sequence must be (L, d) or (B, L, d), got shape {seq.shape}")
-    if seq.shape[-2] < 1:
-        raise ValueError("empty sequence")
-    if seq.shape[-1] != m.input_size:
-        raise ShapeError(f"expected input width {m.input_size}, got {seq.shape[-1]}")
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"input must be (d,) or (B, d), got shape {x.shape}")
+    if x.shape[-1] != m.input_size:
+        raise ShapeError(f"expected input width {m.input_size}, got {x.shape[-1]}")
 
-    h_fwd, fwd_steps = _run_direction(m.forward, seq, reverse=False)
-    h_bwd, bwd_steps = _run_direction(m.backward, seq, reverse=True)
+    h_fwd, fwd_gates = _step_from_zero(m.forward, x)
+    h_bwd, bwd_gates = _step_from_zero(m.backward, x)
     out = np.concatenate([h_fwd, h_bwd], axis=-1)
 
     mask = None
@@ -228,55 +194,41 @@ def bilstm_encode(
         out = out * mask
 
     cache = EncodeCache(
-        fwd_steps=fwd_steps,
-        bwd_steps=bwd_steps,
+        x=x,
+        fwd_gates=fwd_gates,
+        bwd_gates=bwd_gates,
         dropout_mask=mask,
-        seq_shape=seq.shape,
-        input_size=m.input_size,
         hidden_size=m.hidden_size,
-        batched=seq.ndim == 3,
     )
     return out, cache
 
 
-def _bptt(w: LstmWeights, steps: list, dh_final):
-    """Backprop one direction. Returns (grads, list of dx per step order)."""
-    grads = LstmGrads(
-        w_x=np.zeros_like(w.w_x), w_h=np.zeros_like(w.w_h), bias=np.zeros_like(w.bias)
-    )
-    dh = dh_final
-    dc = np.zeros_like(dh_final)
-    dxs = []
-    for x_t, h_prev, c_prev, i, f, g, o, c in reversed(steps):
-        tanh_c = np.tanh(c)
-        da_o = dh * tanh_c * o * (1.0 - o)
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        da_f = dc * c_prev * f * (1.0 - f)
-        da_i = dc * g * i * (1.0 - i)
-        da_g = dc * i * (1.0 - g * g)
-        da = np.concatenate([da_i, da_f, da_g, da_o], axis=-1)
-        da2 = da.reshape(-1, da.shape[-1])  # collapse batch axes for the reductions
-        grads.w_x += da2.T @ x_t.reshape(-1, x_t.shape[-1])
-        grads.w_h += da2.T @ h_prev.reshape(-1, h_prev.shape[-1])
-        grads.bias += da2.sum(axis=0)
-        dxs.append(da @ w.w_x)
-        dh = da @ w.w_h
-        dc = dc * f
-    dxs.reverse()  # back to this direction's own step order
-    return grads, dxs
+def _step_grads(w: LstmWeights, x2: np.ndarray, gates: tuple, dh) -> LstmGrads:
+    """Parameter gradients of one zero-state step; ``x2`` is the (B, d_in) input."""
+    i, g, o, tanh_c = gates
+    da_o = dh * tanh_c * o * (1.0 - o)
+    dc = dh * o * (1.0 - tanh_c * tanh_c)
+    da_i = dc * g * i * (1.0 - i)
+    da_g = dc * i * (1.0 - g * g)
+    # the forget gate multiplies a zero cell, so its pre-activation gradient
+    # is 0; it stays in as zero columns because BLAS can sum a narrower
+    # matmul in another order, and the w_x gradient must keep its bytes
+    da =np.concatenate([da_i, np.zeros_like(da_i), da_g, da_o], axis=-1)
+    da2 = da.reshape(-1, da.shape[-1])
+    return LstmGrads(w_x=da2.T @ x2, w_h=np.zeros_like(w.w_h), bias=da2.sum(axis=0))
 
 
-def bilstm_backward(m: BiLstm, cache: EncodeCache, upstream):
-    """Exact gradients of the encode output w.r.t. all parameters and the input.
+def bilstm_backward(m: BiLstm, cache: EncodeCache, upstream) -> BiLstmGrads:
+    """Exact gradients of the encode output w.r.t. all parameters.
 
-    ``upstream`` must match the encode output shape (..., 2H). Returns
-    ``(BiLstmGrads, grad_seq)`` with ``grad_seq`` shaped like the original
-    sequence.
+    ``upstream`` must match the encode output shape (..., 2H). The
+    recurrent matrices ``w_h`` get exact zeros: a step from zero state
+    never reads them.
     """
     upstream = np.asarray(upstream, dtype=float)
-    if cache.input_size != m.input_size or cache.hidden_size != m.hidden_size:
+    if cache.x.shape[-1] != m.input_size or cache.hidden_size != m.hidden_size:
         raise ContractViolation("cache does not belong to this encoder")
-    expected = cache.seq_shape[:-2] + (2 * m.hidden_size,)
+    expected = cache.x.shape[:-1] + (2 * m.hidden_size,)
     if upstream.shape != expected:
         raise ContractViolation(
             f"upstream shape {upstream.shape} does not match encode output {expected}"
@@ -286,13 +238,8 @@ def bilstm_backward(m: BiLstm, cache: EncodeCache, upstream):
         upstream = upstream * cache.dropout_mask
 
     h = m.hidden_size
-    fwd_grads, fwd_dxs = _bptt(m.forward, cache.fwd_steps, upstream[..., :h])
-    bwd_grads, bwd_dxs = _bptt(m.backward, cache.bwd_steps, upstream[..., h:])
-
-    grad_seq = np.zeros(cache.seq_shape)
-    length = cache.seq_shape[-2]
-    for t in range(length):
-        grad_seq[..., t, :] += fwd_dxs[t]
-        # the reversed direction's step s consumed original index L-1-s
-        grad_seq[..., length - 1 - t, :] += bwd_dxs[t]
-    return BiLstmGrads(forward=fwd_grads, backward=bwd_grads), grad_seq
+    x2 = cache.x.reshape(-1, cache.x.shape[-1])
+    return BiLstmGrads(
+        forward=_step_grads(m.forward, x2, cache.fwd_gates, upstream[..., :h]),
+        backward=_step_grads(m.backward, x2, cache.bwd_gates, upstream[..., h:]),
+    )

@@ -1,7 +1,7 @@
-"""The hybrid classifier: feature vector -> BiLSTM(L=1) -> KAN -> logits.
+"""The hybrid classifier: feature vector -> BiLSTM (one step) -> KAN -> logits.
 
-The aggregated feature vector is treated as a one-step sequence, encoded
-by the bidirectional LSTM (output width 2H, dropout in training mode),
+The aggregated feature vector is encoded by one step of the bidirectional
+LSTM from zero state (output width 2H, dropout in training mode),
 then passed through the KAN stack whose final layer width equals the
 class count. Softmax lives outside the network; the network boundary is
 raw logits.
@@ -109,8 +109,7 @@ def model_forward(
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != m.feature_dim:
         raise ShapeError(f"expected feature width {m.feature_dim}, got {x.shape[-1]}")
-    seq = x[..., None, :]  # length-1 sequence
-    encoded, enc_cache = bilstm_encode(m.encoder, seq, training=training, rng=rng)
+    encoded, enc_cache = bilstm_encode(m.encoder, x, training=training, rng=rng)
     logits, kan_caches = network_forward(m.kan, encoded)
     return logits, (enc_cache, kan_caches)
 
@@ -119,7 +118,7 @@ def model_backward(m: HybridModel, cache, grad_logits) -> ModelGrads:
     """Exact gradients of sum(grad_logits * logits) w.r.t. every parameter."""
     enc_cache, kan_caches = cache
     grad_encoded, kan_grads = network_backward(m.kan, kan_caches, grad_logits)
-    enc_grads, _ = bilstm_backward(m.encoder, enc_cache, grad_encoded)
+    enc_grads = bilstm_backward(m.encoder, enc_cache, grad_encoded)
     return ModelGrads(encoder=enc_grads, kan=kan_grads)
 
 

@@ -174,8 +174,8 @@ def test_criterion_05_smote_geometry():
         [rng.normal(size=(60, 8)), rng.normal(loc=4.0, size=(7, 8))]
     )
     labels = np.array([0] * 60 + [1] * 7)
-    cfg = SmoteConfig(k=5, target_ratio=0.5, seed=6)
-    out, out_labels = smote_resample(features, labels, cfg)
+    cfg = SmoteConfig(k=5, target_ratio=0.5)
+    out, out_labels = smote_resample(features, labels, cfg, rng=np.random.default_rng(6))
 
     minority = features[labels == 1]
     k_eff = effective_neighbors(7, 5)
@@ -354,6 +354,7 @@ def test_criterion_10_leakage_guards():
         tripped.append("augmentation")
     try:
         smote_resample(np.zeros((4, 3)), np.array([0, 0, 1, 1]), SmoteConfig(),
+                       rng=np.random.default_rng(0),
                        split_tags=["train", "val", "train", "train"])
     except ContractViolation:
         tripped.append("smote")

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.io.wavfile
 import scipy.signal
 
 from kan_ausculta import features as features_module
-from kan_ausculta import training
+from kan_ausculta import imbalance, training
 from kan_ausculta.dataset import DatasetIndex, IndexRow
 from kan_ausculta.errors import ContractViolation, DataError
 from kan_ausculta.features import FeatureConfig
@@ -62,9 +63,9 @@ class TestSmote:
         features = np.array([[0.0, 0.0], [1.0, 1.0]])
         labels = np.array([1, 1])
         # force one synthetic via an explicit target
-        cfg = SmoteConfig(k=5, target_counts={"minority": 3}, seed=0)
+        cfg = SmoteConfig(k=5, target_counts={"minority": 3})
         out, out_labels = smote_resample(
-            features, labels, cfg, class_names={1: "minority"}
+            features, labels, cfg, rng=np.random.default_rng(0), class_names={1: "minority"}
         )
         assert out.shape == (3, 2)
         synthetic = [row for row in out if not any((row == f).all() for f in features)]
@@ -82,8 +83,8 @@ class TestSmote:
         rng = np.random.default_rng(1)
         features = rng.normal(size=(12, 4))
         labels = np.array([0] * 6 + [1] * 6)
-        cfg = SmoteConfig(target_ratio=0.5, seed=2)  # both classes at majority count
-        out, out_labels = smote_resample(features, labels, cfg)
+        cfg = SmoteConfig(target_ratio=0.5)  # both classes at majority count
+        out, out_labels = smote_resample(features, labels, cfg, rng=np.random.default_rng(2))
         assert out.shape == features.shape
         # identical up to the deterministic shuffle
         order = np.lexsort(out.T)
@@ -94,8 +95,8 @@ class TestSmote:
         rng = np.random.default_rng(3)
         features = np.vstack([rng.normal(size=(40, 6)), rng.normal(loc=5, size=(8, 6))])
         labels = np.array([0] * 40 + [1] * 8)
-        cfg = SmoteConfig(k=5, target_ratio=0.75, seed=4)
-        out, out_labels = smote_resample(features, labels, cfg)
+        cfg = SmoteConfig(k=5, target_ratio=0.75)
+        out, out_labels = smote_resample(features, labels, cfg, rng=np.random.default_rng(4))
         minority = features[labels == 1]
         n_new = (out_labels == 1).sum() - 8
         assert n_new == 30 - 8  # 0.75 * 40 = 30 target
@@ -127,17 +128,17 @@ class TestSmote:
             [rng.normal(size=(50, 3)), rng.normal(size=(9, 3)), rng.normal(size=(4, 3))]
         )
         labels = np.array([0] * 50 + [1] * 9 + [2] * 4)
-        cfg = SmoteConfig(target_ratio=0.5, seed=6)
-        _, out_labels = smote_resample(features, labels, cfg)
+        cfg = SmoteConfig(target_ratio=0.5)
+        _, out_labels = smote_resample(features, labels, cfg, rng=np.random.default_rng(6))
         counts = np.bincount(out_labels)
         np.testing.assert_array_equal(counts, [50, 25, 25])
 
     def test_singleton_class_skipped_with_warning(self, caplog):
         features = np.vstack([np.zeros((5, 2)), np.ones((1, 2))])
         labels = np.array([0] * 5 + [1])
-        cfg = SmoteConfig(target_ratio=0.8, seed=7)
+        cfg = SmoteConfig(target_ratio=0.8)
         with caplog.at_level("WARNING"):
-            out, out_labels = smote_resample(features, labels, cfg)
+            out, out_labels = smote_resample(features, labels, cfg, rng=np.random.default_rng(7))
         assert (out_labels == 1).sum() == 1
         assert any("SMOTE skipped" in rec.message for rec in caplog.records)
 
@@ -145,17 +146,58 @@ class TestSmote:
         features = np.zeros((4, 2))
         labels = np.array([0, 0, 1, 1])
         with pytest.raises(ContractViolation):
-            smote_resample(features, labels, SmoteConfig(),
+            smote_resample(features, labels, SmoteConfig(), rng=np.random.default_rng(0),
                            split_tags=["train", "train", "val", "train"])
 
     def test_deterministic_given_seed(self):
         rng_features = np.random.default_rng(8).normal(size=(30, 4))
         labels = np.array([0] * 24 + [1] * 6)
-        cfg = SmoteConfig(target_ratio=0.5, seed=9)
-        a = smote_resample(rng_features, labels, cfg)
-        b = smote_resample(rng_features, labels, cfg)
+        cfg = SmoteConfig(target_ratio=0.5)
+        a = smote_resample(rng_features, labels, cfg, rng=np.random.default_rng(9))
+        b = smote_resample(rng_features, labels, cfg, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+
+def full_tensor_neighbors(pool, k):
+    # oracle: the whole (n, n, d) difference tensor at once
+    diff = pool[:, None, :] - pool[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1)[:, :k]
+
+
+class TestSmoteChunking:
+    @pytest.mark.parametrize("d", [24, 1927])
+    def test_one_row_chunks_match_full_tensor(self, monkeypatch, d):
+        rng = np.random.default_rng(d)
+        features = np.vstack([rng.normal(size=(40, d)), rng.normal(loc=2.0, size=(13, d))])
+        labels = np.array([0] * 40 + [1] * 13)
+        pool = features[labels == 1]
+        cfg = SmoteConfig(k=5, target_ratio=0.9)
+
+        monkeypatch.setattr(imbalance, "_DISTANCE_CHUNK_BYTES", 1)  # one row per chunk
+        np.testing.assert_array_equal(
+            imbalance._neighbor_indices(pool, 5), full_tensor_neighbors(pool, 5)
+        )
+        chunked = smote_resample(features, labels, cfg, rng=np.random.default_rng(1))
+
+        monkeypatch.setattr(imbalance, "_neighbor_indices", full_tensor_neighbors)
+        full = smote_resample(features, labels, cfg, rng=np.random.default_rng(1))
+        assert np.array_equal(chunked[0], full[0])
+        assert np.array_equal(chunked[1], full[1])
+
+    def test_peak_memory_follows_the_budget(self, monkeypatch):
+        # the full difference tensor would be 100 * 100 * 200 * 8 bytes = 16 MB
+        pool = np.random.default_rng(0).normal(size=(100, 200))
+        monkeypatch.setattr(imbalance, "_DISTANCE_CHUNK_BYTES", 2**20)
+        tracemalloc.start()
+        try:
+            imbalance._neighbor_indices(pool, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestTransforms:

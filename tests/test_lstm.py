@@ -4,13 +4,126 @@ import pytest
 from kan_ausculta.errors import ContractViolation, ShapeError
 from kan_ausculta.lstm import (
     BiLstm,
+    BiLstmGrads,
+    LstmGrads,
     LstmWeights,
+    _sigmoid,
     bilstm_backward,
     bilstm_encode,
     bilstm_init,
-    lstm_cell_step,
     lstm_init,
 )
+
+# ----------------------------------------------------------------------------
+# oracle: the general length-L recurrence with backpropagation through time.
+# The model only ever runs one step from zero state (lstm.bilstm_encode); at
+# length 1 this oracle must give the same bytes.
+
+
+def oracle_sigmoid(x):
+    # branch on sign so exp never overflows
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def lstm_cell_step(w: LstmWeights, x_t, h_prev, c_prev):
+    """One cell update; accepts single vectors or leading-batch arrays."""
+    x_t = np.asarray(x_t, dtype=float)
+    h_prev = np.asarray(h_prev, dtype=float)
+    c_prev = np.asarray(c_prev, dtype=float)
+    h_size = w.hidden_size
+    if x_t.shape[-1] != w.input_size:
+        raise ShapeError(f"expected input width {w.input_size}, got {x_t.shape[-1]}")
+    if h_prev.shape[-1] != h_size or c_prev.shape[-1] != h_size:
+        raise ShapeError("state widths do not match the hidden size")
+
+    a = x_t @ w.w_x.T + h_prev @ w.w_h.T + w.bias
+    i = oracle_sigmoid(a[..., :h_size])
+    f = oracle_sigmoid(a[..., h_size : 2 * h_size])
+    g = np.tanh(a[..., 2 * h_size : 3 * h_size])
+    o = oracle_sigmoid(a[..., 3 * h_size :])
+    c = f * c_prev + i * g
+    h = o * np.tanh(c)
+    return h, c, (x_t, h_prev, c_prev, i, f, g, o, c)
+
+
+def _run_direction(w: LstmWeights, seq: np.ndarray, reverse: bool):
+    h = np.zeros(seq.shape[:-2] + (w.hidden_size,))
+    c = np.zeros_like(h)
+    steps = []
+    indices = range(seq.shape[-2])
+    if reverse:
+        indices = reversed(indices)
+    for t in indices:
+        h, c, cache = lstm_cell_step(w, seq[..., t, :], h, c)
+        steps.append(cache)
+    return h, steps
+
+
+def oracle_encode(m: BiLstm, seq, training=False, rng=None):
+    """Concat of the final states of a pass over t = 1..L and one over t = L..1."""
+    seq = np.asarray(seq, dtype=float)
+    if seq.ndim not in (2, 3):
+        raise ShapeError(f"sequence must be (L, d) or (B, L, d), got shape {seq.shape}")
+    if seq.shape[-2] < 1:
+        raise ValueError("empty sequence")
+    h_fwd, fwd_steps = _run_direction(m.forward, seq, reverse=False)
+    h_bwd, bwd_steps = _run_direction(m.backward, seq, reverse=True)
+    out = np.concatenate([h_fwd, h_bwd], axis=-1)
+    mask = None
+    if training and m.dropout_rate > 0.0:
+        keep = 1.0 - m.dropout_rate
+        mask = (rng.random(out.shape) < keep).astype(float) / keep
+        out = out * mask
+    return out, (fwd_steps, bwd_steps, mask, seq.shape)
+
+
+def _bptt(w: LstmWeights, steps: list, dh_final):
+    grads = LstmGrads(
+        w_x=np.zeros_like(w.w_x), w_h=np.zeros_like(w.w_h), bias=np.zeros_like(w.bias)
+    )
+    dh = dh_final
+    dc = np.zeros_like(dh_final)
+    dxs = []
+    for x_t, h_prev, c_prev, i, f, g, o, c in reversed(steps):
+        tanh_c = np.tanh(c)
+        da_o = dh * tanh_c * o * (1.0 - o)
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        da_f = dc * c_prev * f * (1.0 - f)
+        da_i = dc * g * i * (1.0 - i)
+        da_g = dc * i * (1.0 - g * g)
+        da = np.concatenate([da_i, da_f, da_g, da_o], axis=-1)
+        da2 = da.reshape(-1, da.shape[-1])
+        grads.w_x += da2.T @ x_t.reshape(-1, x_t.shape[-1])
+        grads.w_h += da2.T @ h_prev.reshape(-1, h_prev.shape[-1])
+        grads.bias += da2.sum(axis=0)
+        dxs.append(da @ w.w_x)
+        dh = da @ w.w_h
+        dc = dc * f
+    dxs.reverse()  # back to this direction's own step order
+    return grads, dxs
+
+
+def oracle_backward(m: BiLstm, cache, upstream):
+    """Returns ``(BiLstmGrads, grad_seq)`` with ``grad_seq`` shaped like the sequence."""
+    fwd_steps, bwd_steps, mask, seq_shape = cache
+    upstream = np.asarray(upstream, dtype=float)
+    if mask is not None:
+        upstream = upstream * mask
+    h = m.hidden_size
+    fwd_grads, fwd_dxs = _bptt(m.forward, fwd_steps, upstream[..., :h])
+    bwd_grads, bwd_dxs = _bptt(m.backward, bwd_steps, upstream[..., h:])
+    grad_seq = np.zeros(seq_shape)
+    length = seq_shape[-2]
+    for t in range(length):
+        grad_seq[..., t, :] += fwd_dxs[t]
+        # the reversed direction's step s consumed original index L-1-s
+        grad_seq[..., length - 1 - t, :] += bwd_dxs[t]
+    return BiLstmGrads(forward=fwd_grads, backward=bwd_grads), grad_seq
 
 
 def zero_weights(d_in, hidden):
@@ -19,6 +132,14 @@ def zero_weights(d_in, hidden):
         w_h=np.zeros((4 * hidden, hidden)),
         bias=np.zeros(4 * hidden),
     )
+
+
+def grad_tensors(grads: BiLstmGrads) -> dict:
+    return {
+        f"{tag}.{name}": getattr(getattr(grads, direction), name)
+        for tag, direction in (("fwd", "forward"), ("bwd", "backward"))
+        for name in ("w_x", "w_h", "bias")
+    }
 
 
 class TestCellStep:
@@ -43,6 +164,9 @@ class TestCellStep:
                 w, rng.normal(scale=10, size=5), rng.normal(size=6), rng.normal(size=6)
             )
             assert np.all(np.abs(h) < 1.0)
+        m = BiLstm(forward=w, backward=lstm_init(5, 6, rng), dropout_rate=0.0)
+        out, _ = bilstm_encode(m, rng.normal(scale=10, size=(20, 5)))
+        assert np.all(np.abs(out) < 1.0)
 
     def test_forget_bias_initialized_to_one(self):
         w = lstm_init(3, 4, np.random.default_rng(1))
@@ -53,36 +177,81 @@ class TestCellStep:
         w = zero_weights(3, 4)
         with pytest.raises(ShapeError):
             lstm_cell_step(w, np.zeros(2), np.zeros(4), np.zeros(4))
+        m = BiLstm(forward=w, backward=zero_weights(3, 4))
+        with pytest.raises(ShapeError):
+            bilstm_encode(m, np.zeros(2))
+        with pytest.raises(ShapeError):
+            bilstm_encode(m, np.zeros((2, 1, 3)))
+
+
+class TestOneStepMatchesOracle:
+    """The closed form gives the length-1 oracle's bytes, dropout included."""
+
+    def test_sigmoid_matches_two_branch_formula(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([
+            rng.normal(scale=20.0, size=(64, 4)).ravel(),
+            [0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0, 1e4, -1e4, np.inf, -np.inf],
+        ])
+        out, ref = _sigmoid(x), oracle_sigmoid(x)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+        assert np.isnan(_sigmoid(np.array([np.nan]))).all()
+
+    @pytest.mark.parametrize("d_in", [24, 1927])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_output_and_all_gradients_equal(self, d_in, batched, training):
+        rng = np.random.default_rng(d_in + 2 * batched + training)
+        m = bilstm_init(d_in, 64, 0.3, rng)
+        x = rng.normal(size=(64, d_in) if batched else d_in)
+        upstream = rng.normal(size=x.shape[:-1] + (128,))
+
+        out, cache = bilstm_encode(m, x, training=training, rng=np.random.default_rng(5))
+        ref, ref_cache = oracle_encode(
+            m, x[..., None, :], training=training, rng=np.random.default_rng(5)
+        )
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
+
+        grads = grad_tensors(bilstm_backward(m, cache, upstream))
+        ref_grads = grad_tensors(oracle_backward(m, ref_cache, upstream)[0])
+        for name, ref_grad in ref_grads.items():
+            assert grads[name].shape == ref_grad.shape, name
+            assert np.array_equal(grads[name], ref_grad), name
+        assert not np.any(grads["fwd.w_h"]) and not np.any(grads["bwd.w_h"])
 
 
 class TestEncode:
     def test_length_one_output_width(self):
         m = bilstm_init(10, 64, 0.3, np.random.default_rng(0))
-        out, _ = bilstm_encode(m, np.random.default_rng(1).normal(size=(1, 10)))
+        out, _ = bilstm_encode(m, np.random.default_rng(1).normal(size=10))
         assert out.shape == (128,)
+        batch, _ = bilstm_encode(m, np.random.default_rng(1).normal(size=(3, 10)))
+        assert batch.shape == (3, 128)
 
     def test_empty_sequence_rejected(self):
         m = bilstm_init(4, 3, 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            bilstm_encode(m, np.zeros((0, 4)))
+            oracle_encode(m, np.zeros((0, 4)))
 
     def test_zero_dropout_training_equals_eval(self):
         m = bilstm_init(4, 3, 0.0, np.random.default_rng(0))
-        seq = np.random.default_rng(1).normal(size=(2, 4))
-        eval_out, _ = bilstm_encode(m, seq, training=False)
-        train_out, _ = bilstm_encode(m, seq, training=True, rng=np.random.default_rng(2))
+        x = np.random.default_rng(1).normal(size=(2, 4))
+        eval_out, _ = bilstm_encode(m, x, training=False)
+        train_out, _ = bilstm_encode(m, x, training=True, rng=np.random.default_rng(2))
         np.testing.assert_array_equal(eval_out, train_out)
 
     def test_inverted_dropout_preserves_expectation(self):
         # Monte-Carlo: the mean over mask draws matches the undropped output within 2%
         m = bilstm_init(3, 4, 0.3, np.random.default_rng(5))
-        seq = np.random.default_rng(6).normal(size=(1, 3))
-        reference, _ = bilstm_encode(m, seq, training=False)
+        x = np.random.default_rng(6).normal(size=3)
+        reference, _ = bilstm_encode(m, x, training=False)
         rng = np.random.default_rng(7)
         total = np.zeros_like(reference)
         draws = 10_000
         for _ in range(draws):
-            out, _ = bilstm_encode(m, seq, training=True, rng=rng)
+            out, _ = bilstm_encode(m, x, training=True, rng=rng)
             total += out
         mean = total / draws
         scale = np.abs(reference).max()
@@ -92,9 +261,9 @@ class TestEncode:
         rng = np.random.default_rng(11)
         m = bilstm_init(5, 4, 0.0, rng)
         seq = rng.normal(size=(6, 5))
-        out, _ = bilstm_encode(m, seq)
+        out, _ = oracle_encode(m, seq)
         swapped = BiLstm(forward=m.backward, backward=m.forward, dropout_rate=0.0)
-        out_rev, _ = bilstm_encode(swapped, seq[::-1])
+        out_rev, _ = oracle_encode(swapped, seq[::-1])
         np.testing.assert_allclose(out_rev[:4], out[4:], atol=1e-14)
         np.testing.assert_allclose(out_rev[4:], out[:4], atol=1e-14)
 
@@ -102,20 +271,48 @@ class TestEncode:
         rng = np.random.default_rng(13)
         m = bilstm_init(4, 3, 0.0, rng)
         seqs = rng.normal(size=(5, 3, 4))
-        batched, _ = bilstm_encode(m, seqs)
-        singles = np.stack([bilstm_encode(m, s)[0] for s in seqs])
+        batched, _ = oracle_encode(m, seqs)
+        singles = np.stack([oracle_encode(m, s)[0] for s in seqs])
         np.testing.assert_allclose(batched, singles, atol=1e-14)
+        xs = seqs[:, 0, :]
+        batched, _ = bilstm_encode(m, xs)
+        singles = np.stack([bilstm_encode(m, x)[0] for x in xs])
+        np.testing.assert_allclose(batched, singles, atol=1e-14)
+
+
+def assert_matches_finite_differences(m: BiLstm, loss, grads: dict, rng):
+    h = 1e-5
+    weights = {
+        "fwd.w_x": m.forward.w_x,
+        "fwd.w_h": m.forward.w_h,
+        "fwd.bias": m.forward.bias,
+        "bwd.w_x": m.backward.w_x,
+        "bwd.w_h": m.backward.w_h,
+        "bwd.bias": m.backward.bias,
+    }
+    for name, arr in weights.items():
+        flat = arr.reshape(-1)
+        analytic = grads[name].reshape(-1)
+        picks = rng.choice(flat.size, size=min(10, flat.size), replace=False)
+        for p in picks:
+            orig = flat[p]
+            flat[p] = orig + h
+            up = loss()
+            flat[p] = orig - h
+            down = loss()
+            flat[p] = orig
+            numeric = (up - down) / (2 * h)
+            a = analytic[p]
+            assert abs(a - numeric) <= 1e-8 + 1e-5 * max(abs(a), abs(numeric)), name
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(0)
         m = bilstm_init(4, 3, 0.0, rng)
-        _, cache = bilstm_encode(m, rng.normal(size=(2, 4)))
-        grads, grad_seq = bilstm_backward(m, cache, np.zeros(6))
-        assert np.all(grads.forward.w_x == 0)
-        assert np.all(grads.backward.w_h == 0)
-        assert np.all(grad_seq == 0)
+        _, cache = bilstm_encode(m, rng.normal(size=4))
+        grads = bilstm_backward(m, cache, np.zeros(6))
+        assert all(not np.any(g) for g in grad_tensors(grads).values())
 
     @pytest.mark.parametrize("length", [1, 3])
     def test_finite_difference_all_tensors(self, length):
@@ -124,77 +321,80 @@ class TestBackward:
         seq = rng.normal(size=(length, 3))
         upstream = rng.normal(size=8)
 
-        _, cache = bilstm_encode(m, seq)
-        grads, grad_seq = bilstm_backward(m, cache, upstream)
+        _, cache = oracle_encode(m, seq)
+        grads, grad_seq = oracle_backward(m, cache, upstream)
 
         def loss():
-            out, _ = bilstm_encode(m, seq)
+            out, _ = oracle_encode(m, seq)
             return float(upstream @ out)
 
-        h = 1e-5
-        tensors = {
-            "fwd.w_x": (m.forward.w_x, grads.forward.w_x),
-            "fwd.w_h": (m.forward.w_h, grads.forward.w_h),
-            "fwd.bias": (m.forward.bias, grads.forward.bias),
-            "bwd.w_x": (m.backward.w_x, grads.backward.w_x),
-            "bwd.w_h": (m.backward.w_h, grads.backward.w_h),
-            "bwd.bias": (m.backward.bias, grads.backward.bias),
-        }
-        for name, (arr, analytic) in tensors.items():
-            flat = arr.reshape(-1)
-            picks = rng.choice(flat.size, size=min(10, flat.size), replace=False)
-            for p in picks:
-                orig = flat[p]
-                flat[p] = orig + h
-                up = loss()
-                flat[p] = orig - h
-                down = loss()
-                flat[p] = orig
-                numeric = (up - down) / (2 * h)
-                a = analytic.reshape(-1)[p]
-                assert abs(a - numeric) <= 1e-8 + 1e-5 * max(abs(a), abs(numeric)), name
+        assert_matches_finite_differences(m, loss, grad_tensors(grads), rng)
 
+        h = 1e-5
         for t in range(length):
             for j in range(3):
                 sp = seq.copy()
                 sp[t, j] += h
-                up = float(upstream @ bilstm_encode(m, sp)[0])
+                up = float(upstream @ oracle_encode(m, sp)[0])
                 sp[t, j] -= 2 * h
-                down = float(upstream @ bilstm_encode(m, sp)[0])
+                down = float(upstream @ oracle_encode(m, sp)[0])
                 numeric = (up - down) / (2 * h)
                 a = grad_seq[t, j]
                 assert abs(a - numeric) <= 1e-8 + 1e-5 * max(abs(a), abs(numeric))
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_finite_difference_one_step(self, batched):
+        rng = np.random.default_rng(19 + batched)
+        m = bilstm_init(3, 4, 0.0, rng)
+        x = rng.normal(size=(5, 3) if batched else 3)
+        upstream = rng.normal(size=x.shape[:-1] + (8,))
+
+        _, cache = bilstm_encode(m, x)
+        grads = bilstm_backward(m, cache, upstream)
+
+        def loss():
+            out, _ = bilstm_encode(m, x)
+            return float(np.sum(upstream * out))
+
+        assert_matches_finite_differences(m, loss, grad_tensors(grads), rng)
+
     def test_recurrent_weights_get_gradient_beyond_length_one(self):
         rng = np.random.default_rng(23)
         m = bilstm_init(3, 4, 0.0, rng)
-        _, cache = bilstm_encode(m, rng.normal(size=(3, 3)))
-        grads, _ = bilstm_backward(m, cache, rng.normal(size=8))
+        _, cache = oracle_encode(m, rng.normal(size=(3, 3)))
+        grads, _ = oracle_backward(m, cache, rng.normal(size=8))
         assert np.abs(grads.forward.w_h).max() > 0
 
     def test_dropout_mask_applied_in_backward(self):
         rng = np.random.default_rng(29)
         m = bilstm_init(3, 4, 0.5, rng)
-        seq = rng.normal(size=(1, 3))
-        out, cache = bilstm_encode(m, seq, training=True, rng=np.random.default_rng(31))
+        x = rng.normal(size=3)
+        out, cache = bilstm_encode(m, x, training=True, rng=np.random.default_rng(31))
         upstream = np.ones(8)
-        grads, _ = bilstm_backward(m, cache, upstream)
+        grads = bilstm_backward(m, cache, upstream)
         # gradient flows only through kept units; a fully dropped output
         # coordinate contributes nothing
         dropped = cache.dropout_mask == 0
         assert dropped.any()  # with p=0.5 over 8 units this seed drops some
+        _, eval_cache = bilstm_encode(m, x)
+        masked = bilstm_backward(m, eval_cache, upstream * cache.dropout_mask)
+        for name, g in grad_tensors(masked).items():
+            assert np.array_equal(grad_tensors(grads)[name], g), name
 
     def test_mismatched_upstream_raises(self):
         rng = np.random.default_rng(0)
         m = bilstm_init(4, 3, 0.0, rng)
-        _, cache = bilstm_encode(m, rng.normal(size=(2, 4)))
+        _, cache = bilstm_encode(m, rng.normal(size=4))
         with pytest.raises(ContractViolation):
             bilstm_backward(m, cache, np.zeros(7))
+        _, cache = bilstm_encode(m, rng.normal(size=(2, 4)))
+        with pytest.raises(ContractViolation):
+            bilstm_backward(m, cache, np.zeros(6))
 
     def test_foreign_cache_rejected(self):
         rng = np.random.default_rng(0)
         m = bilstm_init(4, 3, 0.0, rng)
         other = bilstm_init(5, 3, 0.0, rng)
-        _, cache = bilstm_encode(m, rng.normal(size=(2, 4)))
+        _, cache = bilstm_encode(m, rng.normal(size=4))
         with pytest.raises(ContractViolation):
             bilstm_backward(other, cache, np.zeros(6))

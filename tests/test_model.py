@@ -8,7 +8,9 @@ from kan_ausculta import model as model_module
 from kan_ausculta.errors import FingerprintError, ShapeError
 from kan_ausculta.model import (
     build_model,
+    grads_to_dict,
     load_checkpoint,
+    model_backward,
     model_forward,
     parameters,
     restore_parameters,
@@ -16,7 +18,7 @@ from kan_ausculta.model import (
     snapshot_parameters,
     softmax,
 )
-from kan_ausculta.optim import FocalParams, finite_diff_check
+from kan_ausculta.optim import FocalParams, adamw_init, adamw_step, finite_diff_check
 
 
 def small_model(seed=0, d_feat=5, classes=4, **kwargs):
@@ -116,6 +118,48 @@ class TestEndToEndGradients:
         m = small_model(seed=7, kan_base_branch=True)
         err = finite_diff_check(m, rng.normal(size=5), 1, rng=rng)
         assert err < 1e-4
+
+
+class TestEncoderGradients:
+    def batch_grads(self, m, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(8, m.feature_dim))
+        logits, cache = model_forward(m, x, training=True, rng=rng)
+        return grads_to_dict(model_backward(m, cache, rng.normal(size=logits.shape)))
+
+    def test_recurrent_gradients_are_exact_zeros_and_decay_still_moves_them(self):
+        m = small_model(seed=16, dropout_rate=0.3)
+        grads = self.batch_grads(m, 17)
+        for tag in ("fwd", "bwd"):
+            assert not np.any(grads[f"lstm.{tag}.w_h"])
+            assert np.any(grads[f"lstm.{tag}.w_x"])
+        params = parameters(m)
+        before = {name: params[name].copy() for name in ("lstm.fwd.w_h", "lstm.bwd.w_h")}
+        adamw_step(params, grads, adamw_init(params, lr=1e-2, weight_decay=1e-2))
+        for name, old in before.items():
+            # zero gradient: the Adam term is 0, and decay subtracts lr * wd * theta
+            np.testing.assert_array_equal(params[name], old - old * (1e-2 * 1e-2))
+            assert not np.array_equal(params[name], old)
+
+    @pytest.mark.parametrize("base_branch", [False, True])
+    def test_parameter_and_gradient_dicts_keep_keys_and_shapes(self, base_branch):
+        m = small_model(seed=18, kan_base_branch=base_branch)
+        expected = [
+            "lstm.fwd.w_x", "lstm.fwd.w_h", "lstm.fwd.bias",
+            "lstm.bwd.w_x", "lstm.bwd.w_h", "lstm.bwd.bias",
+        ]
+        for idx in range(2):
+            expected.append(f"kan.{idx}.coeffs")
+            if base_branch:
+                expected.append(f"kan.{idx}.base_weight")
+        params = parameters(m)
+        grads = self.batch_grads(m, 19)
+        assert list(params) == expected
+        assert list(grads) == expected
+        assert params["lstm.fwd.w_x"].shape == (16, 5)
+        assert params["lstm.bwd.w_h"].shape == (16, 4)
+        assert params["lstm.fwd.bias"].shape == (16,)
+        assert {k: g.shape for k, g in grads.items()} == {k: p.shape for k, p in params.items()}
 
 
 class TestSnapshots:

@@ -84,7 +84,7 @@ class TestLeakageGuards:
         features = np.zeros((4, 3))
         labels = np.array([0, 0, 1, 1])
         with pytest.raises(ContractViolation):
-            smote_resample(features, labels, SmoteConfig(),
+            smote_resample(features, labels, SmoteConfig(), rng=np.random.default_rng(0),
                            split_tags=["train", "val", "train", "train"])
 
     def test_scaler_guard(self):
