@@ -15,8 +15,9 @@ rather than a true constant-Q transform. Both chroma variants are one
 matmul against a fold matrix cached per (n_chroma, frame, rate), as the
 mel filterbank is. Preprocessing reuses its filter designs as well: the
 band-pass sections are cached by the band-pass config, and the polyphase
-low-pass of a downsampling ratio by its reduced denominator (``resample``,
-which ``imbalance.pitch_shift`` shares).
+low-pass of ``resample`` by the larger term of the reduced ratio, one
+design per source rate of a corpus (``imbalance.pitch_shift`` resamples
+without this cache).
 
 ``extract`` is two steps. ``streams`` computes one magnitude STFT and
 derives every per-frame stream from it, returned by name in the order of
@@ -164,9 +165,9 @@ def read_wav(path) -> AudioSignal:
     return AudioSignal(samples=samples, sample_rate=int(rate))
 
 
-# room for every downsampling rate of a corpus plus the at most 25 upward
-# pitch shift designs, so reusable entries are not evicted
-@functools.lru_cache(maxsize=32)
+# one design per source rate of a corpus: 4, 8, 10 and 16 kHz all reduce
+# to max rate 441 at 22.05 kHz, 44.1 kHz to 2 and 48 kHz to 320
+@functools.lru_cache(maxsize=4)
 def _resample_lowpass(max_rate: int) -> np.ndarray:
     """Read-only copy of the Kaiser low-pass ``resample_poly`` designs itself.
 
@@ -181,18 +182,18 @@ def _resample_lowpass(max_rate: int) -> np.ndarray:
 def resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
     """``scipy.signal.resample_poly`` of a float64 signal, bit for bit.
 
-    A downsampling ratio (``up < down`` once reduced) is filtered with the
-    cached low-pass of its reduced ratio instead of one designed per call.
-    An upsampling ratio keeps scipy's own design: the downward pitch shifts
-    of ``imbalance.pitch_shift`` give reduced numerators that rarely recur,
-    and caching them would evict the designs that do.
+    The signal is filtered with the cached low-pass of the reduced ratio's
+    larger term instead of one designed per call. ``preprocess`` is its only
+    caller, so the cache holds one design per source rate;
+    ``imbalance.pitch_shift`` calls ``resample_poly`` itself, so its ratios
+    neither fill the cache nor evict from it.
     """
     samples = np.asarray(samples, dtype=float)
     g = math.gcd(up, down)
     up, down = up // g, down // g
-    if up >= down:
-        return scipy.signal.resample_poly(samples, up, down)
-    return scipy.signal.resample_poly(samples, up, down, window=_resample_lowpass(down))
+    if up == down:
+        return samples.copy()
+    return scipy.signal.resample_poly(samples, up, down, window=_resample_lowpass(max(up, down)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -21,14 +21,15 @@ features.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import scipy.signal
 
 from .dataset import DatasetIndex, IndexRow
 from .errors import ContractViolation
-from .features import resample
 
 __all__ = [
     "AugmentConfig",
@@ -79,10 +80,13 @@ class AugmentConfig:
         probs = [self.base_probability, *self.class_probability.values()]
         if any(not (0.0 <= p <= 1.0) for p in probs):
             raise ValueError("augmentation probabilities must lie in [0, 1]")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be >= 0")
+        if not (math.isfinite(self.noise_level) and self.noise_level >= 0.0):
+            raise ValueError("noise_level must be finite and >= 0")
         if not (0.0 <= self.max_shift_fraction < 1.0):
             raise ValueError("max_shift_fraction must lie in [0, 1)")
+        ranges = [self.pitch_range_semitones, *self.class_pitch_range.values()]
+        if any(not (math.isfinite(r) and r >= 0.0) for r in ranges):
+            raise ValueError("pitch ranges must be finite and >= 0")
 
     def probability_for(self, class_name: str | None) -> float:
         if class_name is not None and class_name in self.class_probability:
@@ -279,18 +283,19 @@ def pitch_shift(samples: np.ndarray, sample_rate: int, semitones: float) -> np.n
     lengthening the signal; an overlap-add stretch restores the original
     length. Output length matches the input exactly.
 
-    The ratio is k/10000. An upward shift (k < 10000) downsamples by a
-    reduced denominator dividing 10000, so it reuses one of at most 25
-    cached low-pass designs; a downward shift (k > 10000) upsamples, and its
-    reduced numerator (up to about 12600) rarely recurs, so ``resample``
-    designs its filter per call and never caches it.
+    The resampling ratio 2^(-semitones/12) is rounded to k/10000 and then
+    to the nearest fraction with a denominator of at most 1000; the second
+    rounding moves the pitch by at most 0.87 cents. ``resample_poly``
+    designs its low-pass on every call with 20 * max(up, down) + 1 taps, so
+    no design exceeds 22,421 taps over +/-2 semitones or 39,981 over +/-12;
+    shifts within about +/-0.01 semitones resample by 1/1.
     """
     n = len(samples)
     if semitones == 0.0 or n == 0:
         return samples.copy()
     factor = 2.0 ** (semitones / 12.0)
-    ratio = Fraction(max(1, int(round(10000 / factor))), 10000)
-    sped = resample(samples, ratio.numerator, ratio.denominator)
+    ratio = Fraction(max(1, int(round(10000 / factor))), 10000).limit_denominator(1000)
+    sped = scipy.signal.resample_poly(samples, ratio.numerator, ratio.denominator)
     stretched = time_stretch(sped, n / max(1, len(sped)))
     if len(stretched) >= n:
         return stretched[:n]

@@ -134,11 +134,22 @@ def adamw_init(params: dict, lr: float, **kwargs) -> AdamWState:
     return st
 
 
+# entries per block of ``adamw_step``: 128 KiB of float64 per array, so a
+# block of theta, g, m, v and the scratch buffer stays in cache across passes
+_ADAMW_BLOCK = 2**14
+
+
 def adamw_step(params: dict, grads: dict, st: AdamWState) -> None:
     """In-place update: theta -= lr * m_hat / (sqrt(v_hat) + eps) + lr * wd * theta.
 
     m_hat = m / bc1 and v_hat = v / bc2 are folded into scalars, so every
-    tensor op writes into m, v, theta or one scratch buffer per tensor.
+    tensor op writes into m, v, theta or one scratch block per tensor.
+    Each tensor is walked in blocks of leading-axis rows of about
+    ``_ADAMW_BLOCK`` entries; every operation is elementwise, so blocks
+    give the bytes of one pass over the whole tensor. A block whose g, m and
+    v are all zero would subtract an Adam term of zero, so it gets only the
+    decay: the one-step BiLSTM's ``w_h`` tensors and the forget-gate rows of
+    its ``w_x`` are such blocks.
     """
     st.step += 1
     bc1 = 1.0 - st.beta1**st.step
@@ -151,23 +162,29 @@ def adamw_step(params: dict, grads: dict, st: AdamWState) -> None:
             raise TrainingAbort("non-finite gradient", parameter=name)
         m = st.m[name]
         v = st.v[name]
-        buf = np.empty_like(theta)  # the one scratch buffer of this tensor
-        m *= st.beta1
-        np.multiply(g, 1.0 - st.beta1, out=buf)
-        m += buf
-        v *= st.beta2
-        np.multiply(g, 1.0 - st.beta2, out=buf)
-        buf *= g
-        v += buf
-        np.sqrt(v, out=buf)
-        buf /= sqrt_bc2
-        buf += st.eps
-        np.divide(m, buf, out=buf)
-        buf *= step_size
-        theta -= buf
-        if st.weight_decay != 0.0:
-            np.multiply(theta, st.lr * st.weight_decay, out=buf)
-            theta -= buf
+        rows = max(1, _ADAMW_BLOCK * len(theta) // max(1, theta.size))
+        scratch = np.empty_like(theta[:rows])  # the one scratch block of this tensor
+        for lo in range(0, len(theta), rows):
+            block = slice(lo, lo + rows)
+            tb, gb, mb, vb = theta[block], g[block], m[block], v[block]
+            buf = scratch[: len(tb)]
+            if gb.any() or mb.any() or vb.any():
+                mb *= st.beta1
+                np.multiply(gb, 1.0 - st.beta1, out=buf)
+                mb += buf
+                vb *= st.beta2
+                np.multiply(gb, 1.0 - st.beta2, out=buf)
+                buf *= gb
+                vb += buf
+                np.sqrt(vb, out=buf)
+                buf /= sqrt_bc2
+                buf += st.eps
+                np.divide(mb, buf, out=buf)
+                buf *= step_size
+                tb -= buf
+            if st.weight_decay != 0.0:
+                np.multiply(tb, st.lr * st.weight_decay, out=buf)
+                tb -= buf
 
 
 @dataclass

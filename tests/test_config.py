@@ -81,6 +81,23 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             apply_overrides(RunConfig(), {"lstm.dropout": "1.5"})
 
+    @pytest.mark.parametrize("key", ["augment.pitch_semitones", "augment.pitch.URTI",
+                                     "augment.pitch.COPD"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-3", "-0.5"])
+    def test_bad_pitch_range_rejected_at_load(self, key, value):
+        with pytest.raises(ValueError, match="pitch ranges must be finite and >= 0"):
+            load_config(overrides={key: value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+    def test_bad_noise_level_rejected_at_load(self, value):
+        with pytest.raises(ValueError, match="noise_level must be finite and >= 0"):
+            load_config(overrides={"augment.noise_level": value})
+
+    @pytest.mark.parametrize("key", ["augment.pitch_semitones", "augment.pitch.URTI"])
+    def test_zero_pitch_range_accepted(self, key):
+        cfg = load_config(overrides={key: "0"})
+        assert cfg.augment.pitch_range_for("URTI" if key.endswith("URTI") else None) == 0.0
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("this is not a key-value line\n")

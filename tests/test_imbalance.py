@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -45,10 +46,20 @@ def audio_rows(tmp_path, n, seconds=0.5):
     return training.AudioFeatureSource(FeatureConfig()), rows
 
 
+def pitch_k(semitones):
+    """The numerator of a shift's resampling ratio k/10000 before the denominator limit."""
+    return max(1, int(round(10000 / 2.0 ** (semitones / 12.0))))
+
+
+def pitch_ratio(semitones):
+    """The resampling ratio of a shift: k/10000, then a denominator of at most 1000."""
+    return Fraction(pitch_k(semitones), 10000).limit_denominator(1000)
+
+
 def pitch_shift_oracle(samples, sample_rate, semitones):
     """``pitch_shift`` with the low-pass designed by ``resample_poly`` on every call."""
     n = len(samples)
-    ratio = Fraction(max(1, int(round(10000 / 2.0 ** (semitones / 12.0)))), 10000)
+    ratio = pitch_ratio(semitones)
     sped = scipy.signal.resample_poly(samples, ratio.numerator, ratio.denominator)
     stretched = time_stretch(sped, n / max(1, len(sped)))
     if len(stretched) >= n:
@@ -200,6 +211,35 @@ class TestSmoteChunking:
         assert peak < 2 * 2**20
 
 
+class TestTimeStretch:
+    @pytest.mark.parametrize("rate", [0.8, 1.0, 1.25])
+    def test_output_length(self, rate):
+        samples = sine(220, seconds=0.5)
+        assert len(time_stretch(samples, rate)) == round(len(samples) * rate)
+
+    @pytest.mark.parametrize("rate", [0.8, 1.25])
+    def test_short_signal_takes_nearest_samples(self, rate):
+        # one sample shorter than frame + 2 * search = 1536, with more output
+        # than one frame, so only the input length selects the fallback
+        n = 1535
+        samples = np.random.default_rng(5).normal(size=n)
+        out = time_stretch(samples, rate)
+        idx = np.minimum((np.arange(round(n * rate)) / rate).astype(int), n - 1)
+        np.testing.assert_array_equal(out, samples[idx])
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_nonpositive_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            time_stretch(sine(220, seconds=0.1), rate)
+
+    @pytest.mark.parametrize("rate", [0.8, 1.0, 1.25])
+    def test_sine_keeps_its_dft_peak(self, rate):
+        out = time_stretch(sine(441), rate)
+        spectrum = np.abs(np.fft.rfft(out * np.hanning(len(out))))
+        # the bin nearest 441 Hz at the output's length
+        assert spectrum.argmax() == round(441 * len(out) / SR)
+
+
 class TestTransforms:
     def test_zero_probability_is_identity(self, tmp_path, monkeypatch):
         source, rows = audio_rows(tmp_path, 3)
@@ -245,7 +285,7 @@ class TestTransforms:
             out = pitch_shift(samples, SR, semis)
             assert len(out) == len(samples)
 
-    @pytest.mark.parametrize("semitones", [12.0, -12.0, 1.9, -1.9, 0.3, -0.7, 2.37, -2.37])
+    @pytest.mark.parametrize("semitones", [12.0, -12.0, 1.9, -1.9, 0.3, -0.7, 2.37, -2.37, 0.005])
     def test_pitch_shift_matches_per_call_design(self, semitones):
         samples = np.random.default_rng(4).normal(size=6000)
         expected = pitch_shift_oracle(samples, SR, semitones)
@@ -253,34 +293,64 @@ class TestTransforms:
             np.testing.assert_array_equal(pitch_shift(samples, SR, semitones), expected)
 
     def test_oracle_draws_cover_every_kind_of_ratio(self):
-        # the draws above: up and down shifts, each with a ratio that reduces
-        # and one that does not (gcd(k, 10000) == 1)
+        # the draws above: up and down shifts, each with a ratio that the
+        # denominator limit keeps and one that it moves, and one shift that
+        # collapses to 1/1
         kinds = set()
-        for semitones in (12.0, -12.0, 1.9, -1.9, 0.3, -0.7, 2.37, -2.37):
-            k = int(round(10000 / 2.0 ** (semitones / 12.0)))
-            kinds.add((semitones > 0, Fraction(k, 10000).denominator == 10000))
-        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+        for semitones in (12.0, -12.0, 1.9, -1.9, 0.3, -0.7, 2.37, -2.37, 0.005):
+            ratio = pitch_ratio(semitones)
+            moved = ratio != Fraction(pitch_k(semitones), 10000)
+            kinds.add("unit" if ratio == 1 else (semitones > 0, moved))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False), "unit"}
+
+    def test_every_ratio_within_twelve_semitones_is_bounded(self):
+        # every k that +/-12 semitones give; the default +/-2 give 8909-11225
+        assert [pitch_k(s) for s in (12.0, 2.0, -2.0, -12.0)] == [5000, 8909, 11225, 20000]
+        for k in range(5000, 20001):
+            ratio = Fraction(k, 10000).limit_denominator(1000)
+            taps = 20 * max(ratio.numerator, ratio.denominator) + 1
+            assert ratio.denominator <= 1000
+            assert taps <= (22421 if 8909 <= k <= 11225 else 39981)
+            assert 1200 * abs(math.log2(ratio / Fraction(k, 10000))) <= 0.87
+            assert (ratio == 1) == (9995 <= k <= 10005)
 
     def test_design_cache_stays_bounded(self, monkeypatch):
         # only the routing matters here, so the filtering itself is stubbed
-        windows = []
+        calls = []
 
         def fake_resample_poly(x, up, down, window=None):
-            windows.append((up, down, window))
+            calls.append((up, down, window))
             return x[: len(x) * up // down]
 
         monkeypatch.setattr(features_module.scipy.signal, "resample_poly", fake_resample_poly)
-        features_module._resample_lowpass.cache_clear()
+        monkeypatch.setattr(features_module.scipy.signal, "sosfiltfilt",
+                            lambda sos, x, padlen: x)
+        lowpass = features_module._resample_lowpass
+        lowpass.cache_clear()
         rng = np.random.default_rng(8)
+        cfg = FeatureConfig()
+
+        def preprocess_corpus():
+            for rate in (4000, 10000, 44100):
+                features_module.preprocess(
+                    features_module.AudioSignal(rng.normal(size=rate // 10), rate), cfg)
+
+        preprocess_corpus()
+        # 4 and 10 kHz share max rate 441 at 22.05 kHz; 44.1 kHz is 2
+        assert lowpass.cache_info().currsize == 2
+        before = lowpass.cache_info()
+        del calls[:]
         samples = rng.normal(size=64)
         for semitones in rng.uniform(-4.0, 4.0, size=500):
             pitch_shift(samples, SR, semitones)
-        info = features_module._resample_lowpass.cache_info()
-        features_module._resample_lowpass.cache_clear()
-        # at most one design per divisor of 10000 = 2^4 * 5^4, none ever evicted
-        assert info.currsize == info.misses <= 25 and info.hits > 0
-        assert all((window is None) == (up > down) for up, down, window in windows)
-        assert any(window is None for _, _, window in windows)
+        assert lowpass.cache_info() == before
+        assert all(window is None for _, _, window in calls)
+        # +/-4 semitones: ratios within [0.79, 1.26] with denominators of at most 1000
+        assert max(max(up, down) for up, down, _ in calls) <= 1260
+        preprocess_corpus()
+        info = lowpass.cache_info()
+        lowpass.cache_clear()
+        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
     def test_augment_preserves_length(self):
         rng = np.random.default_rng(3)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kan_ausculta import optim
 from kan_ausculta.errors import TrainingAbort
-from kan_ausculta.model import build_model
+from kan_ausculta.model import build_model, grads_to_dict, model_backward, model_forward, parameters
 from kan_ausculta.optim import (
     EarlyStopState,
     FocalParams,
@@ -19,6 +20,58 @@ from kan_ausculta.optim import (
     focal_loss_batch,
     plateau_step,
 )
+
+
+def adamw_step_oracle(params, grads, st_):
+    """The per-tensor AdamW update, one pass over each whole tensor."""
+    st_.step += 1
+    bc1 = 1.0 - st_.beta1**st_.step
+    bc2 = 1.0 - st_.beta2**st_.step
+    step_size = st_.lr / bc1
+    sqrt_bc2 = math.sqrt(bc2)
+    for name, theta in params.items():
+        g = grads[name]
+        m = st_.m[name]
+        v = st_.v[name]
+        buf = np.empty_like(theta)
+        m *= st_.beta1
+        np.multiply(g, 1.0 - st_.beta1, out=buf)
+        m += buf
+        v *= st_.beta2
+        np.multiply(g, 1.0 - st_.beta2, out=buf)
+        buf *= g
+        v += buf
+        np.sqrt(v, out=buf)
+        buf /= sqrt_bc2
+        buf += st_.eps
+        np.divide(m, buf, out=buf)
+        buf *= step_size
+        theta -= buf
+        if st_.weight_decay != 0.0:
+            np.multiply(theta, st_.lr * st_.weight_decay, out=buf)
+            theta -= buf
+
+
+def assert_steps_match_oracle(params, grad_steps, moments=None, **kwargs):
+    """Run ``adamw_step`` and the oracle side by side; compare every byte.
+
+    ``moments`` optionally sets the starting ``m`` or ``v`` dict by name.
+    """
+    ours = {name: arr.copy() for name, arr in params.items()}
+    ref = {name: arr.copy() for name, arr in params.items()}
+    st_ours = adamw_init(ours, **kwargs)
+    st_ref = adamw_init(ref, **kwargs)
+    for attr, start in (moments or {}).items():
+        for st_ in (st_ours, st_ref):
+            setattr(st_, attr, {name: arr.copy() for name, arr in start.items()})
+    for grads in grad_steps:
+        adamw_step(ours, grads, st_ours)
+        adamw_step_oracle(ref, grads, st_ref)
+        for name in params:
+            for a, b in ((ours[name], ref[name]), (st_ours.m[name], st_ref.m[name]),
+                         (st_ours.v[name], st_ref.v[name])):
+                np.testing.assert_array_equal(a, b)
+                assert a.tobytes() == b.tobytes()
 
 
 def simplex(rng, n):
@@ -162,6 +215,62 @@ class TestAdamW:
             # decay contribution is always lr * wd * theta regardless of g
             decay_part = 0.1 * 0.05 * params["w"][0]
             assert decay_part == pytest.approx(0.1 * 0.05 * params["w"][0])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_zero_tensor_matches_per_tensor_oracle(self, monkeypatch, weight_decay):
+        monkeypatch.setattr(optim, "_ADAMW_BLOCK", 24)
+        rng = np.random.default_rng(1)
+        params = {"w": rng.normal(size=(16, 8)), "b": rng.normal(size=40)}
+        steps = [{"w": np.zeros((16, 8)), "b": rng.normal(size=40)} for _ in range(5)]
+        assert_steps_match_oracle(params, steps, lr=3e-3, weight_decay=weight_decay)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_zero_row_block_matches_per_tensor_oracle(self, monkeypatch, weight_decay):
+        # blocks of 3 rows of 8; rows 3-8 (two whole blocks) get no gradient
+        monkeypatch.setattr(optim, "_ADAMW_BLOCK", 24)
+        rng = np.random.default_rng(2)
+        params = {"w": rng.normal(size=(16, 8))}
+        steps = []
+        for _ in range(5):
+            g = rng.normal(size=(16, 8))
+            g[3:9] = 0.0
+            steps.append({"w": g})
+        assert_steps_match_oracle(params, steps, lr=3e-3, weight_decay=weight_decay)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_gradient_waking_after_zero_steps_matches_oracle(self, monkeypatch, weight_decay):
+        monkeypatch.setattr(optim, "_ADAMW_BLOCK", 24)
+        rng = np.random.default_rng(3)
+        params = {"w": rng.normal(size=(16, 8))}
+        steps = [{"w": np.zeros((16, 8))} for _ in range(2)]
+        steps += [{"w": rng.normal(size=(16, 8))} for _ in range(2)]
+        # a zero gradient with nonzero m and v still takes the Adam term
+        steps.append({"w": np.zeros((16, 8))})
+        assert_steps_match_oracle(params, steps, lr=3e-3, weight_decay=weight_decay)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_zero_gradient_with_one_live_moment_matches_oracle(self, monkeypatch, moment):
+        # g zero but m or v not (v can underflow to zero before m): the
+        # block is live, so the moments decay and an m still moves theta
+        monkeypatch.setattr(optim, "_ADAMW_BLOCK", 24)
+        rng = np.random.default_rng(5)
+        params = {"w": rng.normal(size=(16, 8))}
+        steps = [{"w": np.zeros((16, 8))} for _ in range(5)]
+        start = {moment: {"w": rng.random((16, 8)) * 1e-12}}
+        assert_steps_match_oracle(params, steps, moments=start, lr=3e-3)
+
+    def test_model_gradients_match_oracle_at_default_block(self):
+        # the one-step BiLSTM gives zero w_h gradients and zero forget-gate
+        # rows of w_x; at d=1927 those rows are whole blocks of 8 rows
+        rng = np.random.default_rng(4)
+        model = build_model(1927, 6, rng)
+        x = rng.normal(size=(16, 1927))
+        logits, cache = model_forward(model, x, training=True, rng=rng)
+        grads = grads_to_dict(model_backward(model, cache, rng.normal(size=logits.shape)))
+        hidden = grads["lstm.fwd.w_h"].shape[1]
+        assert not grads["lstm.fwd.w_h"].any()
+        assert not grads["lstm.fwd.w_x"][hidden : 2 * hidden].any()
+        assert_steps_match_oracle(parameters(model), [grads] * 5, lr=3e-3, weight_decay=1e-3)
 
     def test_nonfinite_gradient_aborts_with_parameter_name(self):
         params = {"w": np.array([1.0])}
