@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_write
 from .config import PRESETS, load_config
 from .dataset import ingest
 from .errors import ContractViolation, DataError, TrainingAbort
@@ -191,6 +192,12 @@ def _train_once(cfg, index, source, out_dir: Path):
 # subcommands
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text``; a failed write keeps the previous file."""
+    with atomic_write(path) as staged, open(staged, "w") as fh:
+        fh.write(text)
+
+
 def _cmd_ingest(args) -> int:
     result = ingest(args.data, args.diagnosis)
     hist = result.index.histogram()
@@ -206,9 +213,10 @@ def _cmd_ingest(args) -> int:
         lines = ["path,patient_id,class\n"]
         for row in result.index.rows:
             lines.append(f"{row.path},{row.patient_id},{result.index.class_names[row.label]}\n")
-        (out / "index.csv").write_text("".join(lines))
-        (out / "rejects.csv").write_text(
-            "path,reason\n" + "".join(f"{p},{r}\n" for p, r in result.rejects)
+        _write_text(out / "index.csv", "".join(lines))
+        _write_text(
+            out / "rejects.csv",
+            "path,reason\n" + "".join(f"{p},{r}\n" for p, r in result.rejects),
         )
         print(f"wrote {out / 'index.csv'} and {out / 'rejects.csv'}")
     return 0
@@ -272,7 +280,7 @@ def _cmd_ablate(args) -> int:
         values = ",".join(f"{pcf1[n]:.17g}" for n in class_names)
         lines.append(f"{preset},{acc:.17g},{mf1:.17g},{values}\n")
     out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "summary.csv").write_text("".join(lines))
+    _write_text(out_root / "summary.csv", "".join(lines))
     print(f"wrote {out_root / 'summary.csv'}")
     return 0
 

@@ -79,8 +79,6 @@ class ModelConfig:
     spline_order: int = 3
     domain_min: float = -1.0
     domain_max: float = 1.0
-    base_branch: bool = False
-    init_scale: float = 0.0  # 0 means the 0.1/sqrt(n_in) default
 
     def __post_init__(self):
         if self.lstm_hidden < 1 or self.kan_hidden < 1:
@@ -140,8 +138,6 @@ _KEY_TABLE = {
     "kan.order": ("model", "spline_order", int),
     "kan.domain_min": ("model", "domain_min", float),
     "kan.domain_max": ("model", "domain_max", float),
-    "kan.base_branch": ("model", "base_branch", bool),
-    "kan.init_scale": ("model", "init_scale", float),
     "focal.alpha": ("focal", "alpha", float),
     "focal.gamma": ("focal", "gamma", float),
     "optim.lr_stage1": ("optim", "lr_stage1", float),

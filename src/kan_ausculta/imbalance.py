@@ -276,7 +276,7 @@ def time_stretch(
     return out[:n_out]
 
 
-def pitch_shift(samples: np.ndarray, sample_rate: int, semitones: float) -> np.ndarray:
+def pitch_shift(samples: np.ndarray, semitones: float) -> np.ndarray:
     """Shift pitch by resampling then stretching the duration back.
 
     Resampling by 2^(semitones/12) raises/lowers pitch while shortening or
@@ -306,7 +306,6 @@ def pitch_shift(samples: np.ndarray, sample_rate: int, semitones: float) -> np.n
 
 def apply_transforms(
     samples: np.ndarray,
-    sample_rate: int,
     cfg: AugmentConfig,
     rng: np.random.Generator,
     class_name: str | None = None,
@@ -323,7 +322,7 @@ def apply_transforms(
     if apply_pitch_t:
         pitch_range = cfg.pitch_range_for(class_name)
         semitones = rng.uniform(-pitch_range, pitch_range)
-        out = pitch_shift(out, sample_rate, semitones)
+        out = pitch_shift(out, semitones)
     return out
 
 

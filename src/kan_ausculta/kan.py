@@ -4,11 +4,9 @@ A layer maps x in R^n_in to y in R^n_out through one spline per (output,
 input) edge; node outputs are bare sums of edge outputs (no bias, no fixed
 activation). Each edge spline is a linear combination of the shared
 B-spline basis from :mod:`kan_ausculta.splines`, so the layer's learnable
-state is a single coefficient tensor of shape (n_out, n_in, n_basis).
-
-An optional residual "base branch" (a linear map of silu(x), found in some
-public KAN variants) is supported behind a flag but disabled by default;
-the plain configuration is pure-spline.
+state is a single coefficient tensor of shape (n_out, n_in, n_basis). The
+layer is pure-spline: there is no residual "base branch" (a linear map of
+silu(x)) as in some public KAN variants.
 
 Forward/backward are vectorized: ``x`` may be a single vector (n_in,) or a
 batch (B, n_in). Each pass is a matmul against the coefficients flattened to
@@ -24,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .lstm import _sigmoid
 from .splines import KnotVector, bspline_basis
 
 __all__ = [
@@ -44,22 +41,12 @@ __all__ = [
 ]
 
 
-def _silu(x):
-    return x * _sigmoid(x)
-
-
-def _silu_grad(x):
-    s = _sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
-
-
 @dataclass
 class KanLayer:
     """One KAN layer: coefficient tensor (n_out, n_in, n_basis) over a shared grid."""
 
     coeffs: np.ndarray
     grid: KnotVector
-    base_weight: np.ndarray | None = None  # optional (n_out, n_in) residual branch
 
     @property
     def n_out(self) -> int:
@@ -107,7 +94,6 @@ class KanCache:
 @dataclass
 class KanLayerGrads:
     coeffs: np.ndarray
-    base_weight: np.ndarray | None = None
 
 
 def kan_init(
@@ -116,7 +102,6 @@ def kan_init(
     grid: KnotVector,
     scale: float | None = None,
     rng: np.random.Generator | None = None,
-    base_branch: bool = False,
 ) -> KanLayer:
     """Create a layer with coefficients i.i.d. uniform in [-scale, scale].
 
@@ -132,11 +117,7 @@ def kan_init(
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     coeffs = rng.uniform(-scale, scale, size=(n_out, n_in, grid.n_basis))
-    base = None
-    if base_branch:
-        bound = 1.0 / np.sqrt(n_in)
-        base = rng.uniform(-bound, bound, size=(n_out, n_in))
-    return KanLayer(coeffs=coeffs, grid=grid, base_weight=base)
+    return KanLayer(coeffs=coeffs, grid=grid)
 
 
 def kan_forward(layer: KanLayer, x) -> tuple[np.ndarray, KanCache]:
@@ -149,8 +130,6 @@ def kan_forward(layer: KanLayer, x) -> tuple[np.ndarray, KanCache]:
     basis, dbasis = bspline_basis(x, layer.grid, with_derivative=True)  # (..., n_in, n_basis)
     flat_basis = basis.reshape(*x.shape[:-1], layer.n_in * layer.grid.n_basis)
     y = flat_basis @ layer.coeffs.reshape(layer.n_out, -1).T
-    if layer.base_weight is not None:
-        y = y + _silu(x) @ layer.base_weight.T
     return y, KanCache(x=x, basis=basis, dbasis=dbasis)
 
 
@@ -178,11 +157,7 @@ def kan_backward(
     # d(upstream . y)/d basis, weighted by each basis's derivative, summed per input
     grad_basis = (up2 @ layer.coeffs.reshape(layer.n_out, -1)).reshape(cache.dbasis.shape)
     grad_x = (grad_basis * cache.dbasis).sum(-1)
-    grad_base = None
-    if layer.base_weight is not None:
-        grad_base = up2.T @ _silu(x).reshape(-1, layer.n_in)
-        grad_x = grad_x + (upstream @ layer.base_weight) * _silu_grad(x)
-    return grad_x, KanLayerGrads(coeffs=grad_coeffs, base_weight=grad_base)
+    return grad_x, KanLayerGrads(coeffs=grad_coeffs)
 
 
 def kan_network_init(
@@ -190,13 +165,12 @@ def kan_network_init(
     grid: KnotVector,
     rng: np.random.Generator,
     scale: float | None = None,
-    base_branch: bool = False,
 ) -> KanNetwork:
     """Initialize a chain of layers with widths ``dims[0] -> ... -> dims[-1]``."""
     if len(dims) < 2:
         raise ValueError("need at least input and output widths")
     layers = [
-        kan_init(dims[i], dims[i + 1], grid, scale=scale, rng=rng, base_branch=base_branch)
+        kan_init(dims[i], dims[i + 1], grid, scale=scale, rng=rng)
         for i in range(len(dims) - 1)
     ]
     return KanNetwork(layers=layers)
@@ -250,8 +224,6 @@ def export_splines(network: KanNetwork, samples_per_curve: int) -> SplineDump:
         basis = bspline_basis(xs, grid)  # (samples, n_basis)
         # phi values for all edges at once: (n_out, n_in, samples)
         phis = np.einsum("ijk,sk->ijs", layer.coeffs, basis)
-        if layer.base_weight is not None:
-            phis = phis + layer.base_weight[:, :, None] * _silu(xs)[None, None, :]
         for i in range(layer.n_out):
             for j in range(layer.n_in):
                 dump.curves.append(

@@ -11,12 +11,13 @@ product and the forget gate drop out, leaving a closed form:
     c       = i * g
     h       = o * tanh(c)
 
-Gate layout: the input, recurrent, and bias tensors stack the four gates
-as contiguous blocks in the order (input, forget, cell, output), i.e. a
-hidden size H yields stacked shapes (4H, d_in), (4H, H), (4H,). Per-gate
-matrices are exposed as views via :meth:`LstmWeights.gate_block`. The
-recurrent matrix and the forget block stay parameters (checkpoints keep
-them and weight decay moves them), but their gradients are exact zeros.
+Gate layout: the input and bias tensors stack the four gates as
+contiguous blocks in the order (input, forget, cell, output), i.e. a hidden
+size H yields stacked shapes (4H, d_in) and (4H,). Per-gate slices are
+exposed as views via :meth:`LstmWeights.gate_block`. A step from zero state
+never reads a recurrent matrix, so a direction holds none. The forget block
+stays a parameter (checkpoints keep it and weight decay moves it), but its
+gradients are exact zeros.
 
 The encoder concatenates the two directions' hidden states; inverted
 dropout is applied to that output in training mode only. The general
@@ -60,22 +61,21 @@ class LstmWeights:
     """Gate parameters for one direction; gates stacked along the first axis."""
 
     w_x: np.ndarray  # (4H, d_in)
-    w_h: np.ndarray  # (4H, H)
     bias: np.ndarray  # (4H,)
 
     @property
     def hidden_size(self) -> int:
-        return self.w_h.shape[1]
+        return self.bias.shape[0] // 4
 
     @property
     def input_size(self) -> int:
         return self.w_x.shape[1]
 
     def gate_block(self, tensor: str, gate: str) -> np.ndarray:
-        """View of one gate's slice of ``w_x``, ``w_h``, or ``bias``."""
+        """View of one gate's slice of ``w_x`` or ``bias``."""
         h = self.hidden_size
         g = GATE_ORDER.index(gate)
-        arr = {"w_x": self.w_x, "w_h": self.w_h, "bias": self.bias}[tensor]
+        arr = {"w_x": self.w_x, "bias": self.bias}[tensor]
         return arr[g * h : (g + 1) * h]
 
 
@@ -108,15 +108,16 @@ class BiLstm:
 
 
 def lstm_init(d_in: int, hidden: int, rng: np.random.Generator) -> LstmWeights:
-    """Uniform [-1/sqrt(H), 1/sqrt(H)] matrices; forget bias 1, others 0."""
+    """Uniform [-1/sqrt(H), 1/sqrt(H)] input matrix; forget bias 1, others 0."""
     if d_in < 1 or hidden < 1:
         raise ValueError(f"dimensions must be positive, got ({d_in}, {hidden})")
     bound = 1.0 / np.sqrt(hidden)
     w_x = rng.uniform(-bound, bound, size=(4 * hidden, d_in))
-    w_h = rng.uniform(-bound, bound, size=(4 * hidden, hidden))
+    # the (4H, H) recurrent block is drawn and discarded so seeded inits keep their bytes
+    rng.uniform(-bound, bound, size=(4 * hidden, hidden))
     bias = np.zeros(4 * hidden)
     bias[hidden : 2 * hidden] = 1.0  # forget gate block
-    return LstmWeights(w_x=w_x, w_h=w_h, bias=bias)
+    return LstmWeights(w_x=w_x, bias=bias)
 
 
 def bilstm_init(
@@ -141,7 +142,6 @@ class EncodeCache:
 @dataclass
 class LstmGrads:
     w_x: np.ndarray
-    w_h: np.ndarray
     bias: np.ndarray
 
 
@@ -203,7 +203,7 @@ def bilstm_encode(
     return out, cache
 
 
-def _step_grads(w: LstmWeights, x2: np.ndarray, gates: tuple, dh) -> LstmGrads:
+def _step_grads(x2: np.ndarray, gates: tuple, dh) -> LstmGrads:
     """Parameter gradients of one zero-state step; ``x2`` is the (B, d_in) input."""
     i, g, o, tanh_c = gates
     da_o = dh * tanh_c * o * (1.0 - o)
@@ -213,17 +213,16 @@ def _step_grads(w: LstmWeights, x2: np.ndarray, gates: tuple, dh) -> LstmGrads:
     # the forget gate multiplies a zero cell, so its pre-activation gradient
     # is 0; it stays in as zero columns because BLAS can sum a narrower
     # matmul in another order, and the w_x gradient must keep its bytes
-    da =np.concatenate([da_i, np.zeros_like(da_i), da_g, da_o], axis=-1)
+    da = np.concatenate([da_i, np.zeros_like(da_i), da_g, da_o], axis=-1)
     da2 = da.reshape(-1, da.shape[-1])
-    return LstmGrads(w_x=da2.T @ x2, w_h=np.zeros_like(w.w_h), bias=da2.sum(axis=0))
+    return LstmGrads(w_x=da2.T @ x2, bias=da2.sum(axis=0))
 
 
 def bilstm_backward(m: BiLstm, cache: EncodeCache, upstream) -> BiLstmGrads:
     """Exact gradients of the encode output w.r.t. all parameters.
 
     ``upstream`` must match the encode output shape (..., 2H). The
-    recurrent matrices ``w_h`` get exact zeros: a step from zero state
-    never reads them.
+    forget-gate rows of ``w_x`` and ``bias`` get exact zeros.
     """
     upstream = np.asarray(upstream, dtype=float)
     if cache.x.shape[-1] != m.input_size or cache.hidden_size != m.hidden_size:
@@ -240,6 +239,6 @@ def bilstm_backward(m: BiLstm, cache: EncodeCache, upstream) -> BiLstmGrads:
     h = m.hidden_size
     x2 = cache.x.reshape(-1, cache.x.shape[-1])
     return BiLstmGrads(
-        forward=_step_grads(m.forward, x2, cache.fwd_gates, upstream[..., :h]),
-        backward=_step_grads(m.backward, x2, cache.bwd_gates, upstream[..., h:]),
+        forward=_step_grads(x2, cache.fwd_gates, upstream[..., :h]),
+        backward=_step_grads(x2, cache.bwd_gates, upstream[..., h:]),
     )

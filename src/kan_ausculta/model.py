@@ -8,23 +8,25 @@ raw logits.
 
 Parameters are exposed as a flat name -> ndarray dict (views, not copies)
 so the optimizer, checkpointing, and the finite-difference checker all
-share one addressing scheme:
+share one addressing scheme, every tensor of which the forward pass reads:
 
-    lstm.fwd.w_x  lstm.fwd.w_h  lstm.fwd.bias
-    lstm.bwd.w_x  lstm.bwd.w_h  lstm.bwd.bias
-    kan.<l>.coeffs  [kan.<l>.base_weight]
+    lstm.fwd.w_x  lstm.fwd.bias
+    lstm.bwd.w_x  lstm.bwd.bias
+    kan.<l>.coeffs
 """
 
 from __future__ import annotations
 
 import io
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import FingerprintError, ShapeError
+from .errors import DataError, FingerprintError, ShapeError
 from .kan import KanLayer, KanNetwork, kan_network_init, network_backward, network_forward
 from .lstm import BiLstm, BiLstmGrads, LstmWeights, bilstm_backward, bilstm_encode, bilstm_init
 from .splines import make_uniform_grid
@@ -44,7 +46,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -84,17 +86,12 @@ def build_model(
     spline_order: int = 3,
     domain: tuple[float, float] = (-1.0, 1.0),
     kan_init_scale: float | None = None,
-    kan_base_branch: bool = False,
 ) -> HybridModel:
     """Assemble the default architecture around a discovered feature width."""
     encoder = bilstm_init(d_feat, lstm_hidden, dropout_rate, rng)
     grid = make_uniform_grid(domain[0], domain[1], grid_size, spline_order)
     kan = kan_network_init(
-        [2 * lstm_hidden, kan_hidden, class_count],
-        grid,
-        rng,
-        scale=kan_init_scale,
-        base_branch=kan_base_branch,
+        [2 * lstm_hidden, kan_hidden, class_count], grid, rng, scale=kan_init_scale
     )
     return HybridModel(encoder=encoder, kan=kan)
 
@@ -137,12 +134,9 @@ def parameters(m: HybridModel) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for tag, w in (("fwd", m.encoder.forward), ("bwd", m.encoder.backward)):
         out[f"lstm.{tag}.w_x"] = w.w_x
-        out[f"lstm.{tag}.w_h"] = w.w_h
         out[f"lstm.{tag}.bias"] = w.bias
     for idx, layer in enumerate(m.kan.layers):
         out[f"kan.{idx}.coeffs"] = layer.coeffs
-        if layer.base_weight is not None:
-            out[f"kan.{idx}.base_weight"] = layer.base_weight
     return out
 
 
@@ -150,12 +144,9 @@ def grads_to_dict(g: ModelGrads) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for tag, lg in (("fwd", g.encoder.forward), ("bwd", g.encoder.backward)):
         out[f"lstm.{tag}.w_x"] = lg.w_x
-        out[f"lstm.{tag}.w_h"] = lg.w_h
         out[f"lstm.{tag}.bias"] = lg.bias
     for idx, kg in enumerate(g.kan):
         out[f"kan.{idx}.coeffs"] = kg.coeffs
-        if kg.base_weight is not None:
-            out[f"kan.{idx}.base_weight"] = kg.base_weight
     return out
 
 
@@ -192,7 +183,6 @@ def save_checkpoint(
         "grid_size": grid.grid_size,
         "spline_order": grid.order,
         "domain": [grid.t_min, grid.t_max],
-        "base_branch": m.kan.layers[0].base_weight is not None,
         "meta": meta or {},
     }
     arrays = {name.replace(".", "__"): arr for name, arr in parameters(m).items()}
@@ -209,37 +199,31 @@ def load_checkpoint(path, expected_fingerprint: str | None = None):
     """Rebuild a model from a checkpoint; rejects fingerprint mismatches.
 
     Returns ``(model, header, scaler_mean, scaler_scale)`` where the scaler
-    entries are None when the checkpoint carries no scaler.
+    entries are None when the checkpoint carries no scaler. A missing,
+    truncated or otherwise unreadable file raises ``DataError``, and so does
+    a checkpoint of another version (version 1 held recurrent matrices).
     """
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise FingerprintError(f"unsupported checkpoint version {header.get('version')}")
-        if expected_fingerprint is not None and header["fingerprint"] != expected_fingerprint:
-            raise FingerprintError(
-                f"feature-layout fingerprint mismatch: checkpoint has "
-                f"{header['fingerprint']}, expected {expected_fingerprint}"
-            )
-        arrays = {key: data[key] for key in data.files if key != "header"}
-
-    def take(name):
-        return arrays[name.replace(".", "__")]
-
-    fwd = LstmWeights(take("lstm.fwd.w_x"), take("lstm.fwd.w_h"), take("lstm.fwd.bias"))
-    bwd = LstmWeights(take("lstm.bwd.w_x"), take("lstm.bwd.w_h"), take("lstm.bwd.bias"))
-    encoder = BiLstm(forward=fwd, backward=bwd, dropout_rate=header["dropout_rate"])
-    grid = make_uniform_grid(
-        header["domain"][0], header["domain"][1], header["grid_size"], header["spline_order"]
-    )
-    layers = []
-    dims = header["kan_dims"]
-    for idx in range(len(dims) - 1):
-        base = None
-        key = f"kan__{idx}__base_weight"
-        if key in arrays:
-            base = arrays[key]
-        layers.append(KanLayer(coeffs=take(f"kan.{idx}.coeffs"), grid=grid, base_weight=base))
-    model = HybridModel(encoder=encoder, kan=KanNetwork(layers=layers))
-    mean = arrays.get("scaler_mean")
-    scale = arrays.get("scaler_scale")
-    return model, header, mean, scale
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            header = json.loads(bytes(data["header"]).decode())
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise DataError(f"unsupported checkpoint version {header.get('version')}")
+            if expected_fingerprint is not None and header["fingerprint"] != expected_fingerprint:
+                raise FingerprintError(
+                    f"feature-layout fingerprint mismatch: checkpoint has "
+                    f"{header['fingerprint']}, expected {expected_fingerprint}"
+                )
+            arrays = {key.replace("__", "."): data[key] for key in data.files}
+        fwd, bwd = (
+            LstmWeights(arrays[f"lstm.{t}.w_x"], arrays[f"lstm.{t}.bias"]) for t in ("fwd", "bwd")
+        )
+        encoder = BiLstm(forward=fwd, backward=bwd, dropout_rate=header["dropout_rate"])
+        grid = make_uniform_grid(*header["domain"], header["grid_size"], header["spline_order"])
+        layers = [
+            KanLayer(coeffs=arrays[f"kan.{idx}.coeffs"], grid=grid)
+            for idx in range(len(header["kan_dims"]) - 1)
+        ]
+        model = HybridModel(encoder=encoder, kan=KanNetwork(layers=layers))
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
+        raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
+    return model, header, arrays.get("scaler_mean"), arrays.get("scaler_scale")

@@ -148,8 +148,8 @@ def adamw_step(params: dict, grads: dict, st: AdamWState) -> None:
     ``_ADAMW_BLOCK`` entries; every operation is elementwise, so blocks
     give the bytes of one pass over the whole tensor. A block whose g, m and
     v are all zero would subtract an Adam term of zero, so it gets only the
-    decay: the one-step BiLSTM's ``w_h`` tensors and the forget-gate rows of
-    its ``w_x`` are such blocks.
+    decay: the forget-gate rows of the one-step BiLSTM's ``w_x`` are such
+    blocks.
     """
     st.step += 1
     bc1 = 1.0 - st.beta1**st.step

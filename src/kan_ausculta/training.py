@@ -162,7 +162,6 @@ class AudioFeatureSource:
                 augmented = AudioSignal(
                     samples=apply_transforms(
                         np.asarray(raw.samples, dtype=float),
-                        raw.sample_rate,
                         augment_cfg,
                         rng,
                         class_name=name,
@@ -371,8 +370,6 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
         grid_size=cfg.model.grid_size,
         spline_order=cfg.model.spline_order,
         domain=(cfg.model.domain_min, cfg.model.domain_max),
-        kan_init_scale=cfg.model.init_scale or None,
-        kan_base_branch=cfg.model.base_branch,
     )
     params = parameters(model)
     fp = _focal_params(cfg, class_names)

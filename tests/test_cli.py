@@ -1,7 +1,13 @@
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
+from kan_ausculta import atomic as atomic_module
+from kan_ausculta import cli as cli_module
 from kan_ausculta.cli import main
 from kan_ausculta.config import load_config
 from kan_ausculta.dataset import ingest
@@ -75,6 +81,43 @@ def config_file(tmp_path_factory):
     return path
 
 
+
+@pytest.fixture
+def failing_csv_write(monkeypatch):
+    """Make the CLI's writes of the named CSVs fail half-way ("write") or at the rename."""
+
+    def install(mode, names):
+        if mode == "write":
+            real_open = open
+
+            class HalfWritten:
+                def __init__(self, *args):
+                    self.fh = real_open(*args)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.fh.close()
+
+                def write(self, data):
+                    self.fh.write(data[: len(data) // 2])
+                    raise OSError("no space left on device")
+
+            monkeypatch.setattr(cli_module, "open", HalfWritten, raising=False)
+        else:
+            real_replace = os.replace
+
+            def refuse(src, dst):
+                if Path(dst).name in names:
+                    raise OSError("rename refused")
+                real_replace(src, dst)
+
+            monkeypatch.setattr(atomic_module.os, "replace", refuse)
+
+    return install
+
+
 class TestIngestCommand:
     def test_prints_histogram_and_writes_index(self, corpus, tmp_path, capsys):
         audio, table = corpus
@@ -90,6 +133,20 @@ class TestIngestCommand:
         _, table = corpus
         code = main(["ingest", "--data", "/nonexistent-dir", "--diagnosis", str(table)])
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["write", "rename"])
+    def test_failed_write_keeps_previous_csvs(self, corpus, tmp_path, failing_csv_write,
+                                              mode, capsys):
+        audio, table = corpus
+        (tmp_path / "index.csv").write_text("previous index\n")
+        (tmp_path / "rejects.csv").write_text("previous rejects\n")
+        failing_csv_write(mode, {"index.csv", "rejects.csv"})
+        with pytest.raises(OSError):
+            main(["ingest", "--data", str(audio), "--diagnosis", str(table),
+                  "--out", str(tmp_path)])
+        assert (tmp_path / "index.csv").read_text() == "previous index\n"
+        assert (tmp_path / "rejects.csv").read_text() == "previous rejects\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.csv", "rejects.csv"]
 
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["ingest", "--data", "/somewhere"]) == 1
@@ -183,6 +240,36 @@ class TestTrainCommand:
         assert lines[0] == "layer,out_index,in_index,x,phi"
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("damage", ["missing", "empty", "half", "tail", "noise", "v1"])
+    def test_unreadable_checkpoint_exits_2(self, corpus, config_file, tmp_path, damage,
+                                           capsys):
+        audio, table = corpus
+        out = tmp_path / "run"
+        assert main([
+            "train", "--data", str(audio), "--diagnosis", str(table),
+            "--config", str(config_file), "--out", str(out), "--seed", "3",
+        ]) == 0
+        ckpt = out / "model_fold0.npz"
+        data = ckpt.read_bytes()
+        if damage == "missing":
+            ckpt.unlink()
+        elif damage in ("empty", "half", "tail"):
+            fraction = {"empty": 0.0, "half": 0.5, "tail": 0.95}[damage]
+            ckpt.write_bytes(data[: int(len(data) * fraction)])
+        elif damage == "noise":
+            ckpt.write_bytes(np.random.default_rng(8).bytes(len(data)))
+        else:
+            with np.load(ckpt) as npz:
+                arrays = {key: npz[key] for key in npz.files}
+            header = json.loads(bytes(arrays["header"]).decode())
+            header.update(version=1, base_branch=False)
+            arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+            np.savez(ckpt, **arrays)
+        code = main(["export-splines", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "splines")])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
 
 class TestExtractParallel:
     def test_jobs_flag_preserves_order(self, corpus, tmp_path, capsys):
@@ -219,6 +306,20 @@ class TestAblateCommand:
         assert len(summary) == 6  # header + five presets
         for preset in ("baseline_ce", "focal_only", "augment_only", "smote_only", "full"):
             assert (out / preset / "report.json").exists()
+
+    @pytest.mark.parametrize("mode", ["write", "rename"])
+    def test_failed_summary_write_keeps_previous_summary(self, corpus, config_file, tmp_path,
+                                                         failing_csv_write, mode, capsys):
+        audio, table = corpus
+        out = tmp_path / "ablation"
+        out.mkdir()
+        (out / "summary.csv").write_text("previous summary\n")
+        failing_csv_write(mode, {"summary.csv"})
+        with pytest.raises(OSError):
+            main(["ablate", "--data", str(audio), "--diagnosis", str(table),
+                  "--config", str(config_file), "--out", str(out), "--seed", "2"])
+        assert (out / "summary.csv").read_text() == "previous summary\n"
+        assert sorted(p.name for p in out.iterdir() if p.is_file()) == ["summary.csv"]
 
 
     def test_presets_share_one_source(self, corpus, config_file, tmp_path,

@@ -37,7 +37,6 @@ class TestDefaults:
         assert cfg.augment.class_probability["URTI"] == 0.6
         assert cfg.smote.k == 5
         assert cfg.smote.target_ratio == 0.5
-        assert cfg.model.base_branch is False
 
 
 class TestConfigFile:
@@ -63,6 +62,12 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             apply_overrides(RunConfig(), {"focal.delta": "1.0"})
+
+    @pytest.mark.parametrize("key", ["kan.base_branch", "kan.init_scale"])
+    def test_removed_model_keys_rejected(self, key):
+        # the SiLU base branch and the coefficient-scale knob are gone
+        with pytest.raises(ValueError, match="unknown config key"):
+            apply_overrides(RunConfig(), {key: "0"})
 
     def test_per_class_alpha_resolves_to_vector(self):
         cfg = apply_overrides(RunConfig(), {"focal.alpha.URTI": "0.9"})

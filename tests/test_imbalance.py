@@ -56,7 +56,7 @@ def pitch_ratio(semitones):
     return Fraction(pitch_k(semitones), 10000).limit_denominator(1000)
 
 
-def pitch_shift_oracle(samples, sample_rate, semitones):
+def pitch_shift_oracle(samples, semitones):
     """``pitch_shift`` with the low-pass designed by ``resample_poly`` on every call."""
     n = len(samples)
     ratio = pitch_ratio(semitones)
@@ -271,7 +271,7 @@ class TestTransforms:
 
     def test_pitch_shift_octave_up_moves_dft_peak(self):
         samples = sine(100)
-        shifted = pitch_shift(samples, SR, 12.0)
+        shifted = pitch_shift(samples, 12.0)
         assert len(shifted) == len(samples)
         spectrum = np.abs(np.fft.rfft(shifted * np.hanning(len(shifted))))
         freqs = np.fft.rfftfreq(len(shifted), 1 / SR)
@@ -282,15 +282,15 @@ class TestTransforms:
         rng = np.random.default_rng(2)
         samples = sine(300, seconds=0.5)
         for semis in (-2.0, -0.7, 0.3, 1.9):
-            out = pitch_shift(samples, SR, semis)
+            out = pitch_shift(samples, semis)
             assert len(out) == len(samples)
 
     @pytest.mark.parametrize("semitones", [12.0, -12.0, 1.9, -1.9, 0.3, -0.7, 2.37, -2.37, 0.005])
     def test_pitch_shift_matches_per_call_design(self, semitones):
         samples = np.random.default_rng(4).normal(size=6000)
-        expected = pitch_shift_oracle(samples, SR, semitones)
+        expected = pitch_shift_oracle(samples, semitones)
         for _ in range(2):
-            np.testing.assert_array_equal(pitch_shift(samples, SR, semitones), expected)
+            np.testing.assert_array_equal(pitch_shift(samples, semitones), expected)
 
     def test_oracle_draws_cover_every_kind_of_ratio(self):
         # the draws above: up and down shifts, each with a ratio that the
@@ -342,7 +342,7 @@ class TestTransforms:
         del calls[:]
         samples = rng.normal(size=64)
         for semitones in rng.uniform(-4.0, 4.0, size=500):
-            pitch_shift(samples, SR, semitones)
+            pitch_shift(samples, semitones)
         assert lowpass.cache_info() == before
         assert all(window is None for _, _, window in calls)
         # +/-4 semitones: ratios within [0.79, 1.26] with denominators of at most 1000
@@ -356,7 +356,7 @@ class TestTransforms:
         rng = np.random.default_rng(3)
         samples = sine(250)
         for _ in range(5):
-            out = apply_transforms(samples, SR, AugmentConfig(), rng)
+            out = apply_transforms(samples, AugmentConfig(), rng)
             assert len(out) == len(samples)
 
     def test_class_probability_override(self):

@@ -18,9 +18,8 @@ from kan_ausculta.splines import _cox_de_boor_basis, bspline_basis, make_uniform
 GRID = make_uniform_grid(-1, 1, 3, 3)
 
 
-def make_layer(n_in, n_out, seed=0, scale=None, base_branch=False):
-    return kan_init(n_in, n_out, GRID, scale=scale, rng=np.random.default_rng(seed),
-                    base_branch=base_branch)
+def make_layer(n_in, n_out, seed=0, scale=None):
+    return kan_init(n_in, n_out, GRID, scale=scale, rng=np.random.default_rng(seed))
 
 
 class TestInit:
@@ -120,10 +119,9 @@ class TestBackward:
         grad_x, _ = kan_backward(layer, x, cache, np.ones(1))
         assert abs(grad_x[0]) < 1e-12
 
-    @pytest.mark.parametrize("base_branch", [False, True])
-    def test_finite_difference_gradients(self, base_branch):
+    def test_finite_difference_gradients(self):
         rng = np.random.default_rng(13)
-        layer = make_layer(5, 4, seed=13, base_branch=base_branch)
+        layer = make_layer(5, 4, seed=13)
         x = rng.uniform(-0.9, 0.9, size=5)
         upstream = rng.normal(size=4)
         _, cache = kan_forward(layer, x)
@@ -238,8 +236,6 @@ class TestMatmulForm:
 
     @staticmethod
     def reference(layer, x, upstream):
-        silu = x / (1.0 + np.exp(-x))
-        sig = 1.0 / (1.0 + np.exp(-x))
         basis, dbasis = _cox_de_boor_basis(x, layer.grid, with_derivative=True)
         y = np.einsum("...jk,ijk->...i", basis, layer.coeffs)
         up2 = upstream.reshape(-1, layer.n_out)
@@ -247,33 +243,23 @@ class TestMatmulForm:
         dbasis2 = dbasis.reshape(-1, layer.n_in, layer.grid.n_basis)
         grad_coeffs = np.einsum("bi,bjk->ijk", up2, basis2)
         grad_x = np.einsum("bi,ijk,bjk->bj", up2, layer.coeffs, dbasis2).reshape(x.shape)
-        grad_base = None
-        if layer.base_weight is not None:
-            y = y + silu @ layer.base_weight.T
-            grad_base = up2.T @ silu.reshape(-1, layer.n_in)
-            grad_x = grad_x + (upstream @ layer.base_weight) * sig * (1.0 + x * (1.0 - sig))
-        return y, grad_x, grad_coeffs, grad_base
+        return y, grad_x, grad_coeffs
 
-    @pytest.mark.parametrize("base_branch", [False, True])
     @pytest.mark.parametrize("batch", [None, 9])
-    def test_forward_and_backward_match_einsum(self, base_branch, batch):
+    def test_forward_and_backward_match_einsum(self, batch):
         rng = np.random.default_rng(41)
-        layer = make_layer(7, 5, seed=42, scale=0.8, base_branch=base_branch)
+        layer = make_layer(7, 5, seed=42, scale=0.8)
         lead = () if batch is None else (batch,)
         # spread past the extended grid so dead and edge intervals are covered
         x = rng.uniform(-3.5, 3.5, size=lead + (7,))
         upstream = rng.normal(size=lead + (5,))
         y, cache = kan_forward(layer, x)
         grad_x, grads = kan_backward(layer, x, cache, upstream)
-        ref_y, ref_grad_x, ref_coeffs, ref_base = self.reference(layer, x, upstream)
+        ref_y, ref_grad_x, ref_coeffs = self.reference(layer, x, upstream)
         assert y.shape == ref_y.shape and grad_x.shape == x.shape
         np.testing.assert_allclose(y, ref_y, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad_x, ref_grad_x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads.coeffs, ref_coeffs, rtol=0, atol=1e-12)
-        if base_branch:
-            np.testing.assert_allclose(grads.base_weight, ref_base, rtol=0, atol=1e-12)
-        else:
-            assert grads.base_weight is None
 
     def test_backward_reuses_the_cached_basis(self, monkeypatch):
         calls = []

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from kan_ausculta.errors import ContractViolation, ShapeError
 from kan_ausculta.lstm import (
     BiLstm,
     BiLstmGrads,
-    LstmGrads,
     LstmWeights,
     _sigmoid,
     bilstm_backward,
@@ -16,8 +17,44 @@ from kan_ausculta.lstm import (
 
 # ----------------------------------------------------------------------------
 # oracle: the general length-L recurrence with backpropagation through time.
-# The model only ever runs one step from zero state (lstm.bilstm_encode); at
-# length 1 this oracle must give the same bytes.
+# The model only ever runs one step from zero state (lstm.bilstm_encode), so it
+# holds no recurrent matrix; the oracle's directions carry one of their own.
+# At length 1 this oracle must give the same bytes.
+
+
+@dataclass
+class RecurrentWeights:
+    """One direction of the general LSTM: the model's tensors plus ``w_h``."""
+
+    w_x: np.ndarray  # (4H, d_in)
+    w_h: np.ndarray  # (4H, H)
+    bias: np.ndarray  # (4H,)
+
+    @property
+    def hidden_size(self) -> int:
+        return self.w_h.shape[1]
+
+    @property
+    def input_size(self) -> int:
+        return self.w_x.shape[1]
+
+
+@dataclass
+class RecurrentGrads:
+    w_x: np.ndarray
+    w_h: np.ndarray
+    bias: np.ndarray
+
+
+def with_recurrent(m: BiLstm, rng) -> BiLstm:
+    """``m`` with a uniform recurrent matrix per direction; w_x and bias are shared."""
+    hidden = m.hidden_size
+    bound = 1.0 / np.sqrt(hidden)
+
+    def direction(w):
+        return RecurrentWeights(w.w_x, rng.uniform(-bound, bound, (4 * hidden, hidden)), w.bias)
+
+    return BiLstm(direction(m.forward), direction(m.backward), m.dropout_rate)
 
 
 def oracle_sigmoid(x):
@@ -30,7 +67,7 @@ def oracle_sigmoid(x):
     return out
 
 
-def lstm_cell_step(w: LstmWeights, x_t, h_prev, c_prev):
+def lstm_cell_step(w: RecurrentWeights, x_t, h_prev, c_prev):
     """One cell update; accepts single vectors or leading-batch arrays."""
     x_t = np.asarray(x_t, dtype=float)
     h_prev = np.asarray(h_prev, dtype=float)
@@ -51,7 +88,7 @@ def lstm_cell_step(w: LstmWeights, x_t, h_prev, c_prev):
     return h, c, (x_t, h_prev, c_prev, i, f, g, o, c)
 
 
-def _run_direction(w: LstmWeights, seq: np.ndarray, reverse: bool):
+def _run_direction(w: RecurrentWeights, seq: np.ndarray, reverse: bool):
     h = np.zeros(seq.shape[:-2] + (w.hidden_size,))
     c = np.zeros_like(h)
     steps = []
@@ -82,8 +119,8 @@ def oracle_encode(m: BiLstm, seq, training=False, rng=None):
     return out, (fwd_steps, bwd_steps, mask, seq.shape)
 
 
-def _bptt(w: LstmWeights, steps: list, dh_final):
-    grads = LstmGrads(
+def _bptt(w: RecurrentWeights, steps: list, dh_final):
+    grads = RecurrentGrads(
         w_x=np.zeros_like(w.w_x), w_h=np.zeros_like(w.w_h), bias=np.zeros_like(w.bias)
     )
     dh = dh_final
@@ -127,7 +164,7 @@ def oracle_backward(m: BiLstm, cache, upstream):
 
 
 def zero_weights(d_in, hidden):
-    return LstmWeights(
+    return RecurrentWeights(
         w_x=np.zeros((4 * hidden, d_in)),
         w_h=np.zeros((4 * hidden, hidden)),
         bias=np.zeros(4 * hidden),
@@ -136,9 +173,9 @@ def zero_weights(d_in, hidden):
 
 def grad_tensors(grads: BiLstmGrads) -> dict:
     return {
-        f"{tag}.{name}": getattr(getattr(grads, direction), name)
+        f"{tag}.{name}": g
         for tag, direction in (("fwd", "forward"), ("bwd", "backward"))
-        for name in ("w_x", "w_h", "bias")
+        for name, g in vars(getattr(grads, direction)).items()
     }
 
 
@@ -158,13 +195,13 @@ class TestCellStep:
 
     def test_hidden_output_bounded(self):
         rng = np.random.default_rng(0)
-        w = lstm_init(5, 6, rng)
+        w = with_recurrent(bilstm_init(5, 6, 0.0, rng), rng).forward
         for _ in range(20):
             h, _, _ = lstm_cell_step(
                 w, rng.normal(scale=10, size=5), rng.normal(size=6), rng.normal(size=6)
             )
             assert np.all(np.abs(h) < 1.0)
-        m = BiLstm(forward=w, backward=lstm_init(5, 6, rng), dropout_rate=0.0)
+        m = BiLstm(LstmWeights(w.w_x, w.bias), lstm_init(5, 6, rng), dropout_rate=0.0)
         out, _ = bilstm_encode(m, rng.normal(scale=10, size=(20, 5)))
         assert np.all(np.abs(out) < 1.0)
 
@@ -208,18 +245,21 @@ class TestOneStepMatchesOracle:
         upstream = rng.normal(size=x.shape[:-1] + (128,))
 
         out, cache = bilstm_encode(m, x, training=training, rng=np.random.default_rng(5))
+        oracle = with_recurrent(m, np.random.default_rng(6))
         ref, ref_cache = oracle_encode(
-            m, x[..., None, :], training=training, rng=np.random.default_rng(5)
+            oracle, x[..., None, :], training=training, rng=np.random.default_rng(5)
         )
         assert out.shape == ref.shape
         assert np.array_equal(out, ref)
 
         grads = grad_tensors(bilstm_backward(m, cache, upstream))
-        ref_grads = grad_tensors(oracle_backward(m, ref_cache, upstream)[0])
+        ref_grads = grad_tensors(oracle_backward(oracle, ref_cache, upstream)[0])
+        # a step from zero state never reads w_h: its oracle gradient is 0
+        assert not np.any(ref_grads.pop("fwd.w_h")) and not np.any(ref_grads.pop("bwd.w_h"))
+        assert list(grads) == list(ref_grads)
         for name, ref_grad in ref_grads.items():
             assert grads[name].shape == ref_grad.shape, name
             assert np.array_equal(grads[name], ref_grad), name
-        assert not np.any(grads["fwd.w_h"]) and not np.any(grads["bwd.w_h"])
 
 
 class TestEncode:
@@ -259,7 +299,7 @@ class TestEncode:
 
     def test_bidirectional_symmetry(self):
         rng = np.random.default_rng(11)
-        m = bilstm_init(5, 4, 0.0, rng)
+        m = with_recurrent(bilstm_init(5, 4, 0.0, rng), rng)
         seq = rng.normal(size=(6, 5))
         out, _ = oracle_encode(m, seq)
         swapped = BiLstm(forward=m.backward, backward=m.forward, dropout_rate=0.0)
@@ -271,8 +311,9 @@ class TestEncode:
         rng = np.random.default_rng(13)
         m = bilstm_init(4, 3, 0.0, rng)
         seqs = rng.normal(size=(5, 3, 4))
-        batched, _ = oracle_encode(m, seqs)
-        singles = np.stack([oracle_encode(m, s)[0] for s in seqs])
+        oracle = with_recurrent(m, rng)
+        batched, _ = oracle_encode(oracle, seqs)
+        singles = np.stack([oracle_encode(oracle, s)[0] for s in seqs])
         np.testing.assert_allclose(batched, singles, atol=1e-14)
         xs = seqs[:, 0, :]
         batched, _ = bilstm_encode(m, xs)
@@ -282,17 +323,10 @@ class TestEncode:
 
 def assert_matches_finite_differences(m: BiLstm, loss, grads: dict, rng):
     h = 1e-5
-    weights = {
-        "fwd.w_x": m.forward.w_x,
-        "fwd.w_h": m.forward.w_h,
-        "fwd.bias": m.forward.bias,
-        "bwd.w_x": m.backward.w_x,
-        "bwd.w_h": m.backward.w_h,
-        "bwd.bias": m.backward.bias,
-    }
-    for name, arr in weights.items():
-        flat = arr.reshape(-1)
-        analytic = grads[name].reshape(-1)
+    for name, grad in grads.items():
+        tag, tensor = name.split(".")
+        flat = getattr(m.forward if tag == "fwd" else m.backward, tensor).reshape(-1)
+        analytic = grad.reshape(-1)
         picks = rng.choice(flat.size, size=min(10, flat.size), replace=False)
         for p in picks:
             orig = flat[p]
@@ -317,7 +351,7 @@ class TestBackward:
     @pytest.mark.parametrize("length", [1, 3])
     def test_finite_difference_all_tensors(self, length):
         rng = np.random.default_rng(17 + length)
-        m = bilstm_init(3, 4, 0.0, rng)
+        m = with_recurrent(bilstm_init(3, 4, 0.0, rng), rng)
         seq = rng.normal(size=(length, 3))
         upstream = rng.normal(size=8)
 
@@ -360,7 +394,7 @@ class TestBackward:
 
     def test_recurrent_weights_get_gradient_beyond_length_one(self):
         rng = np.random.default_rng(23)
-        m = bilstm_init(3, 4, 0.0, rng)
+        m = with_recurrent(bilstm_init(3, 4, 0.0, rng), rng)
         _, cache = oracle_encode(m, rng.normal(size=(3, 3)))
         grads, _ = oracle_backward(m, cache, rng.normal(size=8))
         assert np.abs(grads.forward.w_h).max() > 0

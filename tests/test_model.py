@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 
 from kan_ausculta import atomic as atomic_module
 from kan_ausculta import model as model_module
-from kan_ausculta.errors import FingerprintError, ShapeError
+from kan_ausculta.errors import DataError, FingerprintError, ShapeError
 from kan_ausculta.model import (
     build_model,
     grads_to_dict,
+    CHECKPOINT_VERSION,
     load_checkpoint,
     model_backward,
     model_forward,
@@ -113,12 +116,6 @@ class TestEndToEndGradients:
             worst = max(worst, err)
         assert worst < 1e-4
 
-    def test_gradients_with_base_branch(self):
-        rng = np.random.default_rng(7)
-        m = small_model(seed=7, kan_base_branch=True)
-        err = finite_diff_check(m, rng.normal(size=5), 1, rng=rng)
-        assert err < 1e-4
-
 
 class TestEncoderGradients:
     def batch_grads(self, m, seed):
@@ -127,38 +124,37 @@ class TestEncoderGradients:
         logits, cache = model_forward(m, x, training=True, rng=rng)
         return grads_to_dict(model_backward(m, cache, rng.normal(size=logits.shape)))
 
-    def test_recurrent_gradients_are_exact_zeros_and_decay_still_moves_them(self):
+    def test_forget_gate_gradients_are_zero_and_decay_moves_them(self):
         m = small_model(seed=16, dropout_rate=0.3)
         grads = self.batch_grads(m, 17)
-        for tag in ("fwd", "bwd"):
-            assert not np.any(grads[f"lstm.{tag}.w_h"])
-            assert np.any(grads[f"lstm.{tag}.w_x"])
+        h = m.encoder.hidden_size
+        forget = slice(h, 2 * h)
+        names = [f"lstm.{tag}.{t}" for tag in ("fwd", "bwd") for t in ("w_x", "bias")]
+        for name in names:
+            assert not np.any(grads[name][forget])
+            assert np.any(grads[name])
         params = parameters(m)
-        before = {name: params[name].copy() for name in ("lstm.fwd.w_h", "lstm.bwd.w_h")}
+        before = {name: params[name][forget].copy() for name in names}
         adamw_step(params, grads, adamw_init(params, lr=1e-2, weight_decay=1e-2))
         for name, old in before.items():
             # zero gradient: the Adam term is 0, and decay subtracts lr * wd * theta
-            np.testing.assert_array_equal(params[name], old - old * (1e-2 * 1e-2))
-            assert not np.array_equal(params[name], old)
+            np.testing.assert_array_equal(params[name][forget], old - old * (1e-2 * 1e-2))
+            assert not np.array_equal(params[name][forget], old)
 
-    @pytest.mark.parametrize("base_branch", [False, True])
-    def test_parameter_and_gradient_dicts_keep_keys_and_shapes(self, base_branch):
-        m = small_model(seed=18, kan_base_branch=base_branch)
+    def test_parameter_and_gradient_dicts_keep_keys_and_shapes(self):
+        m = small_model(seed=18)
         expected = [
-            "lstm.fwd.w_x", "lstm.fwd.w_h", "lstm.fwd.bias",
-            "lstm.bwd.w_x", "lstm.bwd.w_h", "lstm.bwd.bias",
+            "lstm.fwd.w_x", "lstm.fwd.bias",
+            "lstm.bwd.w_x", "lstm.bwd.bias",
+            "kan.0.coeffs", "kan.1.coeffs",
         ]
-        for idx in range(2):
-            expected.append(f"kan.{idx}.coeffs")
-            if base_branch:
-                expected.append(f"kan.{idx}.base_weight")
         params = parameters(m)
         grads = self.batch_grads(m, 19)
         assert list(params) == expected
         assert list(grads) == expected
         assert params["lstm.fwd.w_x"].shape == (16, 5)
-        assert params["lstm.bwd.w_h"].shape == (16, 4)
         assert params["lstm.fwd.bias"].shape == (16,)
+        assert m.encoder.hidden_size == 4
         assert {k: g.shape for k, g in grads.items()} == {k: p.shape for k, p in params.items()}
 
 
@@ -179,7 +175,7 @@ class TestSnapshots:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        m = small_model(seed=11, kan_base_branch=True)
+        m = small_model(seed=11)
         path = tmp_path / "model.npz"
         save_checkpoint(
             m,
@@ -194,6 +190,10 @@ class TestCheckpoint:
         a, _ = model_forward(m, x)
         b, _ = model_forward(loaded, x)
         np.testing.assert_array_equal(a, b)
+        for name, arr in parameters(m).items():
+            np.testing.assert_array_equal(parameters(loaded)[name], arr)
+        assert header["version"] == CHECKPOINT_VERSION == 2
+        assert "base_branch" not in header
         assert header["meta"]["fold"] == 2
         np.testing.assert_array_equal(mean, np.arange(5.0))
         np.testing.assert_array_equal(scale, np.ones(5))
@@ -243,3 +243,78 @@ class TestCheckpoint:
         save_checkpoint(m, path, fingerprint="abc123")
         with pytest.raises(FingerprintError):
             load_checkpoint(path, expected_fingerprint="something-else")
+
+
+class TestUnreadableCheckpoint:
+    """Every file load_checkpoint cannot rebuild a model from is a DataError."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(small_model(seed=20), path, fingerprint="abc123")
+        return path
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError):
+            load_checkpoint(tmp_path / "missing.npz")
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.95])
+    def test_truncated_file(self, saved, fraction):
+        data = saved.read_bytes()
+        saved.write_bytes(data[: int(len(data) * fraction)])
+        with pytest.raises(DataError):
+            load_checkpoint(saved)
+
+    def test_random_bytes(self, tmp_path):
+        path = tmp_path / "noise.npz"
+        path.write_bytes(np.random.default_rng(21).bytes(4096))
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_version_one_refused(self, tmp_path):
+        # the version 1 layout: its header (base_branch key included) and the
+        # recurrent matrices this model no longer holds
+        m = small_model(seed=22)
+        header = {
+            "version": 1, "fingerprint": "abc123", "feature_dim": 5, "class_count": 4,
+            "lstm_hidden": 4, "dropout_rate": 0.0, "kan_dims": [8, 5, 4], "grid_size": 3,
+            "spline_order": 3, "domain": [-1.0, 1.0], "base_branch": False, "meta": {},
+        }
+        arrays = {name.replace(".", "__"): arr for name, arr in parameters(m).items()}
+        arrays["lstm__fwd__w_h"] = arrays["lstm__bwd__w_h"] = np.zeros((16, 4))
+        path = tmp_path / "v1.npz"
+        np.savez(path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                 **arrays)
+        with pytest.raises(DataError, match="version 1"):
+            load_checkpoint(path)
+        with pytest.raises(DataError, match="version 1"):
+            load_checkpoint(path, expected_fingerprint="abc123")
+
+
+class TestInitStream:
+    """build_model draws the same numbers it drew while the encoder held w_h."""
+
+    @staticmethod
+    def reference_init(d_feat, classes, seed, lstm_hidden=64, kan_hidden=32, n_basis=6):
+        rng = np.random.default_rng(seed)
+        out = {}
+        bound = 1.0 / np.sqrt(lstm_hidden)
+        for tag in ("fwd", "bwd"):
+            out[f"lstm.{tag}.w_x"] = rng.uniform(-bound, bound, size=(4 * lstm_hidden, d_feat))
+            rng.uniform(-bound, bound, size=(4 * lstm_hidden, lstm_hidden))  # was w_h
+            bias = np.zeros(4 * lstm_hidden)
+            bias[lstm_hidden : 2 * lstm_hidden] = 1.0
+            out[f"lstm.{tag}.bias"] = bias
+        dims = [2 * lstm_hidden, kan_hidden, classes]
+        for idx, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
+            scale = 0.1 / np.sqrt(n_in)
+            out[f"kan.{idx}.coeffs"] = rng.uniform(-scale, scale, size=(n_out, n_in, n_basis))
+        return out
+
+    @pytest.mark.parametrize("d_feat", [24, 1927])
+    def test_init_matches_the_reference_sequence(self, d_feat):
+        params = parameters(build_model(d_feat, 6, np.random.default_rng(7)))
+        expected = self.reference_init(d_feat, 6, 7)
+        assert list(params) == list(expected)
+        for name, arr in expected.items():
+            assert np.array_equal(params[name], arr), name
