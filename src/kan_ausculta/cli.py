@@ -38,7 +38,7 @@ from .features import (
     save_feature_cache,
 )
 from .kan import export_splines
-from .model import build_model, load_checkpoint, save_checkpoint
+from .model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .optim import FocalParams, finite_diff_check
 from .report import export, write_splines_csv
 from .training import AudioFeatureSource, run_cv
@@ -301,14 +301,10 @@ def _cmd_gradcheck(args) -> int:
     for i in range(args.instances):
         d_feat = int(rng.integers(3, 9))
         classes = int(rng.integers(3, 7))
-        model = build_model(
-            d_feat,
-            classes,
-            rng,
-            lstm_hidden=int(rng.integers(3, 7)),
-            kan_hidden=int(rng.integers(3, 7)),
-            dropout_rate=0.0,
+        sizes = ModelConfig(
+            lstm_hidden=int(rng.integers(3, 7)), kan_hidden=int(rng.integers(3, 7)), dropout=0.0
         )
+        model = build_model(d_feat, classes, rng, sizes)
         sample = rng.normal(size=d_feat)
         target = int(rng.integers(classes))
         err = finite_diff_check(model, sample, target, h=1e-5, fp=FocalParams(), rng=rng)

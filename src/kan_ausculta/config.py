@@ -7,6 +7,11 @@ Config files are plain text with one ``dotted.key = value`` per line and
     augment.prob.URTI = 0.6
     train.two_stage = true
 
+Sections are the settings dataclasses of the modules that use them
+(``model``, ``optim``, ``imbalance``, ``features``): each setting has one
+default and one range check, run at load, so a bad value raises
+``ValueError`` before any data is read.
+
 Unknown keys are rejected. Presets mirror the imbalance-technique
 ablation: each differs from ``full`` only in its documented switches.
 ``baseline_ce`` additionally disables two-stage training since it is the
@@ -15,12 +20,14 @@ ablation: each differs from ``full`` only in its documented switches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .features import FeatureConfig
 from .imbalance import AugmentConfig, SmoteConfig
-from .optim import FocalParams
+from .model import ModelConfig
+from .optim import FocalParams, OptimConfig, SchedConfig
 
 __all__ = ["RunConfig", "PRESETS", "load_config", "apply_overrides", "config_echo"]
 
@@ -38,55 +45,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.stage2_max_epochs < 1:
             raise ValueError("batch_size and stage2_max_epochs must be positive")
+        if self.stage1_majority_cap < 1:
+            raise ValueError("stage1_majority_cap must be >= 1")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
-
-
-@dataclass
-class OptimConfig:
-    lr_stage1: float = 3e-3
-    lr_stage2: float = 3e-3
-    weight_decay: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr_stage1 <= 0 or self.lr_stage2 <= 0:
-            raise ValueError("learning rates must be positive")
-
-
-@dataclass
-class SchedConfig:
-    factor: float = 0.5
-    patience: int = 4
-    threshold: float = 1e-4
-    min_lr: float = 1e-6
-
-    def __post_init__(self):
-        if not (0 < self.factor < 1):
-            raise ValueError("factor must be in (0, 1)")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
-
-
-@dataclass
-class ModelConfig:
-    lstm_hidden: int = 64
-    dropout: float = 0.3
-    kan_hidden: int = 32
-    grid_size: int = 3
-    spline_order: int = 3
-    domain_min: float = -1.0
-    domain_max: float = 1.0
-
-    def __post_init__(self):
-        if self.lstm_hidden < 1 or self.kan_hidden < 1:
-            raise ValueError("hidden sizes must be positive")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError("dropout must be in [0, 1)")
-        if self.domain_min >= self.domain_max:
-            raise ValueError("spline domain is degenerate")
+        if not math.isfinite(self.early_stop_threshold):
+            raise ValueError("early_stop_threshold must be finite")
 
 
 @dataclass
@@ -110,6 +74,10 @@ class RunConfig:
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.calibration_bins < 1:
+            raise ValueError("calibration_bins must be >= 1")
+        if self.spline_samples < 2:
+            raise ValueError("spline_samples must be >= 2")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
 
@@ -226,22 +194,12 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _coerce(raw, kind):
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if kind is bool:
-            return _parse_bool(raw)
-        if kind is int:
-            return int(raw, 0)
-        if kind is float:
-            return float(raw)
-        return raw
+    if not isinstance(raw, str):
+        return kind(raw)
+    raw = raw.strip()
     if kind is bool:
-        return bool(raw)
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return str(raw)
+        return _parse_bool(raw)
+    return int(raw, 0) if kind is int else kind(raw)
 
 
 def parse_config_file(path) -> dict:

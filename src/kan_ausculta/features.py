@@ -37,8 +37,6 @@ import hashlib
 import json
 import logging
 import math
-import zipfile
-import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +46,7 @@ import scipy.fft
 import scipy.io.wavfile
 import scipy.signal
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_npz
 from .errors import ContractViolation, DataError, FingerprintError
 
 __all__ = [
@@ -95,6 +93,8 @@ class FeatureConfig:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        if self.frame_length < 1 or self.hop_length < 1:
+            raise ValueError("frame_length and hop_length must be positive")
         if not (0 < self.band_low < self.band_high < self.sample_rate / 2):
             raise ValueError(
                 f"band ({self.band_low}, {self.band_high}) must sit inside "
@@ -523,22 +523,20 @@ def save_feature_cache(path, fingerprint: str, paths, matrix, labels=None) -> No
 def load_feature_cache(path, expected_fingerprint: str | None = None):
     """Returns (fingerprint, paths, matrix, labels-or-None).
 
-    A missing, truncated or otherwise unreadable file raises ``DataError``,
-    and so does one holding pickled objects (as version 1 caches did).
+    A file ``read_npz`` refuses raises ``DataError``: a missing, truncated
+    or otherwise unreadable one, or one holding pickled objects (as version
+    1 caches did).
     """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["version"])
-            if version != CACHE_VERSION:
-                raise DataError(f"unsupported feature cache version {version}")
-            fingerprint = str(data["fingerprint"])
-            if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-                raise FingerprintError(
-                    f"feature cache fingerprint {fingerprint} != expected {expected_fingerprint}"
-                )
-            paths = [str(p) for p in data["paths"]]
-            matrix = data["matrix"]
-            labels = data["labels"] if "labels" in data.files else None
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
-        raise DataError(f"unreadable feature cache {path}: {exc}") from exc
+    with read_npz(path, "feature cache") as data:
+        version = int(data["version"])
+        if version != CACHE_VERSION:
+            raise DataError(f"unsupported feature cache version {version}")
+        fingerprint = str(data["fingerprint"])
+        if expected_fingerprint is not None and fingerprint != expected_fingerprint:
+            raise FingerprintError(
+                f"feature cache fingerprint {fingerprint} != expected {expected_fingerprint}"
+            )
+        paths = [str(p) for p in data["paths"]]
+        matrix = data["matrix"]
+        labels = data["labels"] if "labels" in data.files else None
     return fingerprint, paths, matrix, labels

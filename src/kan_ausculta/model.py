@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import io
 import json
-import zipfile
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_npz
 from .errors import DataError, FingerprintError, ShapeError
 from .kan import KanLayer, KanNetwork, kan_network_init, network_backward, network_forward
 from .lstm import BiLstm, BiLstmGrads, LstmWeights, bilstm_backward, bilstm_encode, bilstm_init
-from .splines import make_uniform_grid
+from .splines import KnotVector, make_uniform_grid
 
 __all__ = [
+    "ModelConfig",
     "HybridModel",
     "ModelGrads",
     "build_model",
@@ -47,6 +46,29 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 2
+
+
+@dataclass
+class ModelConfig:
+    """Architecture settings: the ``lstm.*`` and ``kan.*`` config keys."""
+
+    lstm_hidden: int = 64
+    dropout: float = 0.3
+    kan_hidden: int = 32
+    grid_size: int = 3
+    spline_order: int = 3
+    domain_min: float = -1.0
+    domain_max: float = 1.0
+
+    def __post_init__(self):
+        if self.lstm_hidden < 1 or self.kan_hidden < 1:
+            raise ValueError("hidden sizes must be positive")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ValueError("dropout must be in [0, 1)")
+        self.grid()  # refuses a bad grid size, spline order or domain
+
+    def grid(self) -> KnotVector:
+        return make_uniform_grid(self.domain_min, self.domain_max, self.grid_size, self.spline_order)
 
 
 @dataclass
@@ -79,19 +101,18 @@ def build_model(
     d_feat: int,
     class_count: int,
     rng: np.random.Generator,
-    lstm_hidden: int = 64,
-    dropout_rate: float = 0.3,
-    kan_hidden: int = 32,
-    grid_size: int = 3,
-    spline_order: int = 3,
-    domain: tuple[float, float] = (-1.0, 1.0),
+    cfg: ModelConfig | None = None,
     kan_init_scale: float | None = None,
 ) -> HybridModel:
-    """Assemble the default architecture around a discovered feature width."""
-    encoder = bilstm_init(d_feat, lstm_hidden, dropout_rate, rng)
-    grid = make_uniform_grid(domain[0], domain[1], grid_size, spline_order)
+    """Assemble the architecture of ``cfg`` around a discovered feature width.
+
+    ``cfg`` defaults to ``ModelConfig()``, the paper's sizes;
+    ``kan_init_scale`` overrides ``kan_init``'s coefficient scale.
+    """
+    cfg = cfg or ModelConfig()
+    encoder = bilstm_init(d_feat, cfg.lstm_hidden, cfg.dropout, rng)
     kan = kan_network_init(
-        [2 * lstm_hidden, kan_hidden, class_count], grid, rng, scale=kan_init_scale
+        [2 * cfg.lstm_hidden, cfg.kan_hidden, class_count], cfg.grid(), rng, scale=kan_init_scale
     )
     return HybridModel(encoder=encoder, kan=kan)
 
@@ -199,21 +220,21 @@ def load_checkpoint(path, expected_fingerprint: str | None = None):
     """Rebuild a model from a checkpoint; rejects fingerprint mismatches.
 
     Returns ``(model, header, scaler_mean, scaler_scale)`` where the scaler
-    entries are None when the checkpoint carries no scaler. A missing,
-    truncated or otherwise unreadable file raises ``DataError``, and so does
-    a checkpoint of another version (version 1 held recurrent matrices).
+    entries are None when the checkpoint carries no scaler. A file
+    ``read_npz`` refuses, or one it cannot rebuild a model from, raises
+    ``DataError``, and so does a checkpoint of another version (version 1
+    held recurrent matrices).
     """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            header = json.loads(bytes(data["header"]).decode())
-            if header.get("version") != CHECKPOINT_VERSION:
-                raise DataError(f"unsupported checkpoint version {header.get('version')}")
-            if expected_fingerprint is not None and header["fingerprint"] != expected_fingerprint:
-                raise FingerprintError(
-                    f"feature-layout fingerprint mismatch: checkpoint has "
-                    f"{header['fingerprint']}, expected {expected_fingerprint}"
-                )
-            arrays = {key.replace("__", "."): data[key] for key in data.files}
+    with read_npz(path, "checkpoint") as data:
+        header = json.loads(bytes(data["header"]).decode())
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise DataError(f"unsupported checkpoint version {header.get('version')}")
+        if expected_fingerprint is not None and header["fingerprint"] != expected_fingerprint:
+            raise FingerprintError(
+                f"feature-layout fingerprint mismatch: checkpoint has "
+                f"{header['fingerprint']}, expected {expected_fingerprint}"
+            )
+        arrays = {key.replace("__", "."): data[key] for key in data.files}
         fwd, bwd = (
             LstmWeights(arrays[f"lstm.{t}.w_x"], arrays[f"lstm.{t}.bias"]) for t in ("fwd", "bwd")
         )
@@ -224,6 +245,4 @@ def load_checkpoint(path, expected_fingerprint: str | None = None):
             for idx in range(len(header["kan_dims"]) - 1)
         ]
         model = HybridModel(encoder=encoder, kan=KanNetwork(layers=layers))
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
-        raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
     return model, header, arrays.get("scaler_mean"), arrays.get("scaler_scale")

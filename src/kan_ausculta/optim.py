@@ -24,6 +24,8 @@ __all__ = [
     "FocalParams",
     "focal_loss",
     "focal_loss_batch",
+    "OptimConfig",
+    "SchedConfig",
     "AdamWState",
     "adamw_init",
     "adamw_step",
@@ -49,10 +51,10 @@ class FocalParams:
     alpha_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not all(0.0 < a <= 1.0 for a in (self.alpha, *self.alpha_overrides.values())):
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha} {self.alpha_overrides}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.alpha_per_class is not None:
             self.alpha_per_class = np.asarray(self.alpha_per_class, dtype=float)
 
@@ -110,14 +112,32 @@ def focal_loss_batch(probs, targets, fp: FocalParams):
 
 
 @dataclass
-class AdamWState:
-    """Decoupled-weight-decay Adam over a named parameter dict."""
+class OptimConfig:
+    """AdamW settings: the ``optim.*`` config keys; each stage starts at its own rate."""
 
-    lr: float
+    lr_stage1: float = 3e-3
+    lr_stage2: float = 3e-3
+    weight_decay: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 1e-3
+
+    def __post_init__(self):
+        values = (self.lr_stage1, self.lr_stage2, self.weight_decay, self.beta1, self.beta2, self.eps)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("optimizer settings must be finite")
+        if min(self.lr_stage1, self.lr_stage2, self.eps) <= 0 or self.weight_decay < 0:
+            raise ValueError("learning rates and eps must be positive, weight_decay >= 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+
+
+@dataclass
+class AdamWState:
+    """Decoupled-weight-decay Adam over a named parameter dict, at rate ``lr``."""
+
+    lr: float
+    cfg: OptimConfig
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -127,8 +147,13 @@ class AdamWState:
             raise ValueError(f"lr must be positive, got {self.lr}")
 
 
-def adamw_init(params: dict, lr: float, **kwargs) -> AdamWState:
-    st = AdamWState(lr=lr, **kwargs)
+def adamw_init(params: dict, lr: float, cfg: OptimConfig | None = None) -> AdamWState:
+    """Zero moments for ``params`` at rate ``lr``.
+
+    ``cfg`` (default ``OptimConfig()``) gives betas, eps and weight decay;
+    its stage rates are not read here.
+    """
+    st = AdamWState(lr=lr, cfg=cfg or OptimConfig())
     st.m = {name: np.zeros_like(arr) for name, arr in params.items()}
     st.v = {name: np.zeros_like(arr) for name, arr in params.items()}
     return st
@@ -151,9 +176,10 @@ def adamw_step(params: dict, grads: dict, st: AdamWState) -> None:
     decay: the forget-gate rows of the one-step BiLSTM's ``w_x`` are such
     blocks.
     """
+    beta1, beta2, eps, weight_decay = st.cfg.beta1, st.cfg.beta2, st.cfg.eps, st.cfg.weight_decay
     st.step += 1
-    bc1 = 1.0 - st.beta1**st.step
-    bc2 = 1.0 - st.beta2**st.step
+    bc1 = 1.0 - beta1**st.step
+    bc2 = 1.0 - beta2**st.step
     step_size = st.lr / bc1
     sqrt_bc2 = math.sqrt(bc2)
     for name, theta in params.items():
@@ -169,41 +195,50 @@ def adamw_step(params: dict, grads: dict, st: AdamWState) -> None:
             tb, gb, mb, vb = theta[block], g[block], m[block], v[block]
             buf = scratch[: len(tb)]
             if gb.any() or mb.any() or vb.any():
-                mb *= st.beta1
-                np.multiply(gb, 1.0 - st.beta1, out=buf)
+                mb *= beta1
+                np.multiply(gb, 1.0 - beta1, out=buf)
                 mb += buf
-                vb *= st.beta2
-                np.multiply(gb, 1.0 - st.beta2, out=buf)
+                vb *= beta2
+                np.multiply(gb, 1.0 - beta2, out=buf)
                 buf *= gb
                 vb += buf
                 np.sqrt(vb, out=buf)
                 buf /= sqrt_bc2
-                buf += st.eps
+                buf += eps
                 np.divide(mb, buf, out=buf)
                 buf *= step_size
                 tb -= buf
-            if st.weight_decay != 0.0:
-                np.multiply(tb, st.lr * st.weight_decay, out=buf)
+            if weight_decay != 0.0:
+                np.multiply(tb, st.lr * weight_decay, out=buf)
                 tb -= buf
 
 
 @dataclass
-class SchedulerState:
-    """Reduce-on-plateau for a higher-is-better metric."""
+class SchedConfig:
+    """Reduce-on-plateau settings: the ``sched.*`` config keys."""
 
-    lr: float
     factor: float = 0.5
     patience: int = 4
     threshold: float = 1e-4
     min_lr: float = 1e-6
-    best: float = -math.inf
-    stale: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.factor < 1.0):
             raise ValueError(f"factor must be in (0, 1), got {self.factor}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if not (math.isfinite(self.threshold) and math.isfinite(self.min_lr)):
+            raise ValueError("threshold and min_lr must be finite")
+
+
+@dataclass
+class SchedulerState:
+    """Reduce-on-plateau for a higher-is-better metric, from rate ``lr``."""
+
+    lr: float
+    cfg: SchedConfig = field(default_factory=SchedConfig)
+    best: float = -math.inf
+    stale: int = 0
 
 
 def plateau_step(st: SchedulerState, metric: float) -> float:
@@ -214,13 +249,13 @@ def plateau_step(st: SchedulerState, metric: float) -> float:
     """
     if not math.isfinite(metric):
         raise ValueError("metric must be finite")
-    if metric > st.best + st.threshold:
+    if metric > st.best + st.cfg.threshold:
         st.best = metric
         st.stale = 0
     else:
         st.stale += 1
-        if st.stale > st.patience:
-            st.lr = max(st.lr * st.factor, st.min_lr)
+        if st.stale > st.cfg.patience:
+            st.lr = max(st.lr * st.cfg.factor, st.cfg.min_lr)
             st.stale = 0
     return st.lr
 

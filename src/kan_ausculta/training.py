@@ -50,7 +50,6 @@ from .model import (
 )
 from .optim import (
     EarlyStopState,
-    FocalParams,
     SchedulerState,
     adamw_init,
     adamw_step,
@@ -343,10 +342,6 @@ def _macro_f1(y_true, probs, n_classes) -> float:
     return classification_metrics(cm).macro_f1
 
 
-def _focal_params(cfg: RunConfig, class_names) -> FocalParams:
-    return cfg.focal.resolve(tuple(class_names))
-
-
 def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_seq):
     class_names = tagged.class_names
     n_classes = len(class_names)
@@ -360,19 +355,9 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
     y_train = np.array([row.label for row in train_rows], dtype=int)
     y_val = np.array([row.label for row in val_rows], dtype=int)
 
-    model = build_model(
-        d_feat=source.d_feat,
-        class_count=n_classes,
-        rng=rng_init,
-        lstm_hidden=cfg.model.lstm_hidden,
-        dropout_rate=cfg.model.dropout,
-        kan_hidden=cfg.model.kan_hidden,
-        grid_size=cfg.model.grid_size,
-        spline_order=cfg.model.spline_order,
-        domain=(cfg.model.domain_min, cfg.model.domain_max),
-    )
+    model = build_model(source.d_feat, n_classes, rng_init, cfg.model)
     params = parameters(model)
-    fp = _focal_params(cfg, class_names)
+    fp = cfg.focal.resolve(tuple(class_names))
 
     X_val = source.base_features(val_rows)
 
@@ -389,34 +374,14 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
         y_s1 = stage1.labels()
         scaler_s1 = Scaler.fit(X_s1, [row.split for row in stage1.rows])
         X_s1 = scaler_s1.transform(X_s1)
-        opt_s1 = adamw_init(
-            params,
-            cfg.optim.lr_stage1,
-            beta1=cfg.optim.beta1,
-            beta2=cfg.optim.beta2,
-            eps=cfg.optim.eps,
-            weight_decay=cfg.optim.weight_decay,
-        )
+        opt_s1 = adamw_init(params, cfg.optim.lr_stage1, cfg.optim)
         for _ in range(cfg.train.stage1_epochs):
             _train_one_epoch(
                 model, params, X_s1, y_s1, fp, opt_s1, cfg.train.batch_size, rng_stage1
             )
 
-    opt = adamw_init(
-        params,
-        cfg.optim.lr_stage2,
-        beta1=cfg.optim.beta1,
-        beta2=cfg.optim.beta2,
-        eps=cfg.optim.eps,
-        weight_decay=cfg.optim.weight_decay,
-    )
-    sched = SchedulerState(
-        lr=cfg.optim.lr_stage2,
-        factor=cfg.sched.factor,
-        patience=cfg.sched.patience,
-        threshold=cfg.sched.threshold,
-        min_lr=cfg.sched.min_lr,
-    )
+    opt = adamw_init(params, cfg.optim.lr_stage2, cfg.optim)
+    sched = SchedulerState(lr=cfg.optim.lr_stage2, cfg=cfg.sched)
     stopper = EarlyStopState(
         patience=cfg.train.early_stop_patience,
         threshold=cfg.train.early_stop_threshold,

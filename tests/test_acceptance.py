@@ -40,10 +40,12 @@ from kan_ausculta.imbalance import (
     effective_neighbors,
     smote_resample,
 )
-from kan_ausculta.model import build_model
+from kan_ausculta.model import ModelConfig, build_model
 from kan_ausculta.optim import (
     EarlyStopState,
     FocalParams,
+    OptimConfig,
+    SchedConfig,
     SchedulerState,
     adamw_init,
     adamw_step,
@@ -69,14 +71,10 @@ def test_criterion_01_gradient_correctness():
     for _ in range(20):
         d_feat = int(rng.integers(3, 9))
         classes = int(rng.integers(3, 7))
-        model = build_model(
-            d_feat,
-            classes,
-            rng,
-            lstm_hidden=int(rng.integers(3, 7)),
-            kan_hidden=int(rng.integers(3, 7)),
-            dropout_rate=0.0,
+        sizes = ModelConfig(
+            lstm_hidden=int(rng.integers(3, 7)), kan_hidden=int(rng.integers(3, 7)), dropout=0.0
         )
+        model = build_model(d_feat, classes, rng, sizes)
         sample = rng.normal(size=d_feat)
         target = int(rng.integers(classes))
         err = finite_diff_check(model, sample, target, h=1e-5, fp=FocalParams(), rng=rng)
@@ -139,16 +137,16 @@ def test_criterion_03_loss_reductions():
 
 def test_criterion_04_optimizer_traces():
     params = {"w": np.array([1.0])}
-    st = adamw_init(params, lr=0.1, weight_decay=0.0)
+    st = adamw_init(params, 0.1, OptimConfig(weight_decay=0.0))
     adamw_step(params, {"w": np.array([1.0])}, st)
     gradient_case = abs(params["w"][0] - (1.0 - 0.1 / (1.0 + 1e-8))) < 1e-12
 
     params = {"w": np.array([1.0])}
-    st = adamw_init(params, lr=0.1, weight_decay=0.1)
+    st = adamw_init(params, 0.1, OptimConfig(weight_decay=0.1))
     adamw_step(params, {"w": np.zeros(1)}, st)
     decay_case = abs(params["w"][0] - 0.99) < 1e-12
 
-    sched = SchedulerState(lr=1.0, patience=4)
+    sched = SchedulerState(lr=1.0, cfg=SchedConfig(patience=4))
     plateau_step(sched, 0.7)
     lrs = [plateau_step(sched, 0.65) for _ in range(5)]
     sched_case = lrs == [1.0, 1.0, 1.0, 1.0, 0.5]

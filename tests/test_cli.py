@@ -12,6 +12,7 @@ from kan_ausculta.cli import main
 from kan_ausculta.config import load_config
 from kan_ausculta.dataset import ingest
 from kan_ausculta.training import AudioFeatureSource, run_cv
+from test_config import BAD_SETTINGS
 
 SR = 22050
 
@@ -199,6 +200,19 @@ class TestExtractCommand:
         assert code == 2
         assert "unreadable feature cache" in capsys.readouterr().err
 
+    def test_bare_npy_cache_exits_2(self, corpus, config_file, tmp_path, capsys):
+        audio, table = corpus
+        cache = tmp_path / "features.npz"
+        with open(cache, "wb") as fh:
+            np.save(fh, np.zeros((3, 4)))
+        code = main([
+            "train", "--data", str(audio), "--diagnosis", str(table),
+            "--config", str(config_file), "--out", str(tmp_path / "run"),
+            "--cache", str(cache),
+        ])
+        assert code == 2
+        assert "unreadable feature cache" in capsys.readouterr().err
+
     def test_cache_env_variable(self, corpus, tmp_path, monkeypatch, capsys):
         audio, table = corpus
         cache = tmp_path / "env-cache.npz"
@@ -269,6 +283,16 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "splines")])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+
+    def test_bare_npy_checkpoint_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "model_fold0.npz"
+        with open(ckpt, "wb") as fh:
+            np.save(fh, np.zeros((3, 4)))
+        code = main(["export-splines", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "splines")])
+        assert code == 2
+        assert "unreadable checkpoint" in capsys.readouterr().err
 
 
 class TestExtractParallel:
@@ -362,3 +386,15 @@ class TestConfigErrors:
         code = main(["train", "--data", str(audio), "--diagnosis", str(table),
                      "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize("key, value", BAD_SETTINGS)
+    def test_bad_setting_exits_1_before_ingest(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{key} = {value}\n")
+        # no data directory: reaching ingest would exit 2
+        code = main(["train", "--data", str(tmp_path / "absent"),
+                     "--diagnosis", str(tmp_path / "absent.txt"),
+                     "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -9,6 +9,97 @@ from kan_ausculta.config import (
     parse_config_file,
 )
 
+# settings each range check refuses when the config is loaded, before any data is read
+BAD_SETTINGS = [
+    ("kan.grid_size", "0"),
+    ("kan.order", "0"),
+    ("kan.domain_max", "inf"),
+    ("kan.domain_min", "nan"),
+    ("lstm.hidden", "0"),
+    ("optim.beta1", "1.5"),
+    ("optim.beta2", "-0.1"),
+    ("optim.eps", "0"),
+    ("optim.lr_stage1", "inf"),
+    ("optim.lr_stage2", "nan"),
+    ("optim.weight_decay", "-1"),
+    ("sched.factor", "nan"),
+    ("sched.threshold", "inf"),
+    ("sched.min_lr", "nan"),
+    ("focal.gamma", "nan"),
+    ("focal.gamma", "inf"),
+    ("focal.alpha.URTI", "-5"),
+    ("focal.alpha.URTI", "nan"),
+    ("train.early_stop_threshold", "nan"),
+    ("train.stage1_majority_cap", "0"),
+    ("eval.calibration_bins", "0"),
+    ("eval.spline_samples", "1"),
+    ("features.frame_length", "0"),
+    ("features.hop_length", "0"),
+]
+
+# config_echo(load_config(preset="full")): every key of report.json's config echo, in order
+FULL_ECHO = [
+    ("seed", 42),
+    ("folds", 5),
+    ("jobs", 1),
+    ("preset", "full"),
+    ("min_class_count", 10),
+    ("calibration_bins", 10),
+    ("spline_samples", 41),
+    ("features.sample_rate", 22050),
+    ("features.band_low", 100.0),
+    ("features.band_high", 2000.0),
+    ("features.filter_order", 4),
+    ("features.frame_length", 2048),
+    ("features.hop_length", 512),
+    ("features.n_mels", 128),
+    ("features.n_mfcc", 40),
+    ("features.n_chroma", 12),
+    ("features.subbands", False),
+    ("model.lstm_hidden", 64),
+    ("model.dropout", 0.3),
+    ("model.kan_hidden", 32),
+    ("model.grid_size", 3),
+    ("model.spline_order", 3),
+    ("model.domain_min", -1.0),
+    ("model.domain_max", 1.0),
+    ("focal.alpha", 0.75),
+    ("focal.gamma", 2.19),
+    ("focal.alpha_per_class", None),
+    ("optim.lr_stage1", 0.003),
+    ("optim.lr_stage2", 0.003),
+    ("optim.weight_decay", 0.001),
+    ("optim.beta1", 0.9),
+    ("optim.beta2", 0.999),
+    ("optim.eps", 1e-08),
+    ("sched.factor", 0.5),
+    ("sched.patience", 4),
+    ("sched.threshold", 0.0001),
+    ("sched.min_lr", 1e-06),
+    ("train.batch_size", 64),
+    ("train.stage1_epochs", 7),
+    ("train.stage1_majority_cap", 50),
+    ("train.stage2_max_epochs", 30),
+    ("train.early_stop_patience", 7),
+    ("train.early_stop_threshold", 0.0001),
+    ("train.two_stage", True),
+    ("augment.enabled", True),
+    ("augment.base_probability", 0.095),
+    ("augment.class_probability.Bronchiolitis", 0.3),
+    ("augment.class_probability.Pneumonia", 0.2),
+    ("augment.class_probability.URTI", 0.6),
+    ("augment.noise_level", 2.17e-05),
+    ("augment.max_shift_fraction", 0.15),
+    ("augment.pitch_range_semitones", 2.0),
+    ("augment.class_pitch_range.Bronchiolitis", 1.0),
+    ("augment.class_pitch_range.Pneumonia", 1.5),
+    ("augment.class_pitch_range.URTI", 1.0),
+    ("augment.per_epoch", True),
+    ("smote.enabled", True),
+    ("smote.k", 5),
+    ("smote.target_ratio", 0.5),
+]
+
 
 class TestDefaults:
     def test_paper_default_hyperparameters(self):
@@ -103,6 +194,11 @@ class TestConfigFile:
         cfg = load_config(overrides={key: "0"})
         assert cfg.augment.pitch_range_for("URTI" if key.endswith("URTI") else None) == 0.0
 
+    @pytest.mark.parametrize("key, value", BAD_SETTINGS)
+    def test_bad_setting_rejected_at_load(self, key, value):
+        with pytest.raises(ValueError):
+            load_config(overrides={key: value})
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("this is not a key-value line\n")
@@ -149,6 +245,11 @@ class TestPresets:
 
 
 class TestEcho:
+    def test_full_preset_echo_is_pinned(self):
+        echo = config_echo(load_config(preset="full"))
+        assert list(echo.items()) == FULL_ECHO
+        assert [type(v) for v in echo.values()] == [type(v) for _, v in FULL_ECHO]
+
     def test_echo_is_flat_and_complete(self):
         echo = config_echo(RunConfig())
         assert echo["focal.gamma"] == 2.19

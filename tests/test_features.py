@@ -614,6 +614,13 @@ class TestFeatureCache:
         with pytest.raises(DataError):
             load_feature_cache(path, "fp1234")
 
+    def test_bare_npy_array_is_a_data_error(self, tmp_path):
+        path = tmp_path / "cache.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros((3, 4)))
+        with pytest.raises(DataError, match="not an .npz archive"):
+            load_feature_cache(path, "fp1234")
+
     def test_missing_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_feature_cache(tmp_path / "absent.npz")

@@ -9,6 +9,7 @@ from kan_ausculta import atomic as atomic_module
 from kan_ausculta import model as model_module
 from kan_ausculta.errors import DataError, FingerprintError, ShapeError
 from kan_ausculta.model import (
+    ModelConfig,
     build_model,
     grads_to_dict,
     CHECKPOINT_VERSION,
@@ -21,13 +22,12 @@ from kan_ausculta.model import (
     snapshot_parameters,
     softmax,
 )
-from kan_ausculta.optim import FocalParams, adamw_init, adamw_step, finite_diff_check
+from kan_ausculta.optim import FocalParams, OptimConfig, adamw_init, adamw_step, finite_diff_check
 
 
-def small_model(seed=0, d_feat=5, classes=4, **kwargs):
-    defaults = dict(lstm_hidden=4, kan_hidden=5, dropout_rate=0.0)
-    defaults.update(kwargs)
-    return build_model(d_feat, classes, np.random.default_rng(seed), **defaults)
+def small_model(seed=0, d_feat=5, classes=4, kan_init_scale=None, **sizes):
+    cfg = ModelConfig(**{"lstm_hidden": 4, "kan_hidden": 5, "dropout": 0.0, **sizes})
+    return build_model(d_feat, classes, np.random.default_rng(seed), cfg, kan_init_scale)
 
 
 class TestForward:
@@ -102,14 +102,9 @@ class TestEndToEndGradients:
         for _ in range(20):
             d_feat = int(rng.integers(3, 9))
             classes = int(rng.integers(3, 7))
-            m = build_model(
-                d_feat,
-                classes,
-                rng,
-                lstm_hidden=int(rng.integers(3, 7)),
-                kan_hidden=int(rng.integers(3, 7)),
-                dropout_rate=0.0,
-            )
+            lstm_hidden = int(rng.integers(3, 7))
+            sizes = ModelConfig(lstm_hidden, kan_hidden=int(rng.integers(3, 7)), dropout=0.0)
+            m = build_model(d_feat, classes, rng, sizes)
             sample = rng.normal(size=d_feat)
             target = int(rng.integers(classes))
             err = finite_diff_check(m, sample, target, h=1e-5, fp=FocalParams(), rng=rng)
@@ -125,7 +120,7 @@ class TestEncoderGradients:
         return grads_to_dict(model_backward(m, cache, rng.normal(size=logits.shape)))
 
     def test_forget_gate_gradients_are_zero_and_decay_moves_them(self):
-        m = small_model(seed=16, dropout_rate=0.3)
+        m = small_model(seed=16, dropout=0.3)
         grads = self.batch_grads(m, 17)
         h = m.encoder.hidden_size
         forget = slice(h, 2 * h)
@@ -135,7 +130,7 @@ class TestEncoderGradients:
             assert np.any(grads[name])
         params = parameters(m)
         before = {name: params[name][forget].copy() for name in names}
-        adamw_step(params, grads, adamw_init(params, lr=1e-2, weight_decay=1e-2))
+        adamw_step(params, grads, adamw_init(params, 1e-2, OptimConfig(weight_decay=1e-2)))
         for name, old in before.items():
             # zero gradient: the Adam term is 0, and decay subtracts lr * wd * theta
             np.testing.assert_array_equal(params[name][forget], old - old * (1e-2 * 1e-2))
@@ -269,6 +264,13 @@ class TestUnreadableCheckpoint:
         path = tmp_path / "noise.npz"
         path.write_bytes(np.random.default_rng(21).bytes(4096))
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_bare_npy_array(self, tmp_path):
+        path = tmp_path / "array.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros((3, 4)))
+        with pytest.raises(DataError, match="not an .npz archive"):
             load_checkpoint(path)
 
     def test_version_one_refused(self, tmp_path):

@@ -7,10 +7,19 @@ from hypothesis import strategies as st
 
 from kan_ausculta import optim
 from kan_ausculta.errors import TrainingAbort
-from kan_ausculta.model import build_model, grads_to_dict, model_backward, model_forward, parameters
+from kan_ausculta.model import (
+    ModelConfig,
+    build_model,
+    grads_to_dict,
+    model_backward,
+    model_forward,
+    parameters,
+)
 from kan_ausculta.optim import (
     EarlyStopState,
     FocalParams,
+    OptimConfig,
+    SchedConfig,
     SchedulerState,
     adamw_init,
     adamw_step,
@@ -24,9 +33,10 @@ from kan_ausculta.optim import (
 
 def adamw_step_oracle(params, grads, st_):
     """The per-tensor AdamW update, one pass over each whole tensor."""
+    cfg = st_.cfg
     st_.step += 1
-    bc1 = 1.0 - st_.beta1**st_.step
-    bc2 = 1.0 - st_.beta2**st_.step
+    bc1 = 1.0 - cfg.beta1**st_.step
+    bc2 = 1.0 - cfg.beta2**st_.step
     step_size = st_.lr / bc1
     sqrt_bc2 = math.sqrt(bc2)
     for name, theta in params.items():
@@ -34,33 +44,34 @@ def adamw_step_oracle(params, grads, st_):
         m = st_.m[name]
         v = st_.v[name]
         buf = np.empty_like(theta)
-        m *= st_.beta1
-        np.multiply(g, 1.0 - st_.beta1, out=buf)
+        m *= cfg.beta1
+        np.multiply(g, 1.0 - cfg.beta1, out=buf)
         m += buf
-        v *= st_.beta2
-        np.multiply(g, 1.0 - st_.beta2, out=buf)
+        v *= cfg.beta2
+        np.multiply(g, 1.0 - cfg.beta2, out=buf)
         buf *= g
         v += buf
         np.sqrt(v, out=buf)
         buf /= sqrt_bc2
-        buf += st_.eps
+        buf += cfg.eps
         np.divide(m, buf, out=buf)
         buf *= step_size
         theta -= buf
-        if st_.weight_decay != 0.0:
-            np.multiply(theta, st_.lr * st_.weight_decay, out=buf)
+        if cfg.weight_decay != 0.0:
+            np.multiply(theta, st_.lr * cfg.weight_decay, out=buf)
             theta -= buf
 
 
-def assert_steps_match_oracle(params, grad_steps, moments=None, **kwargs):
+def assert_steps_match_oracle(params, grad_steps, lr, moments=None, **settings):
     """Run ``adamw_step`` and the oracle side by side; compare every byte.
 
-    ``moments`` optionally sets the starting ``m`` or ``v`` dict by name.
+    ``settings`` are ``OptimConfig`` fields; ``moments`` optionally sets the
+    starting ``m`` or ``v`` dict by name.
     """
     ours = {name: arr.copy() for name, arr in params.items()}
     ref = {name: arr.copy() for name, arr in params.items()}
-    st_ours = adamw_init(ours, **kwargs)
-    st_ref = adamw_init(ref, **kwargs)
+    st_ours = adamw_init(ours, lr, OptimConfig(**settings))
+    st_ref = adamw_init(ref, lr, OptimConfig(**settings))
     for attr, start in (moments or {}).items():
         for st_ in (st_ours, st_ref):
             setattr(st_, attr, {name: arr.copy() for name, arr in start.items()})
@@ -168,20 +179,20 @@ class TestFocalLoss:
 class TestAdamW:
     def test_first_step_pure_gradient(self):
         params = {"w": np.array([1.0])}
-        st_ = adamw_init(params, lr=0.1, weight_decay=0.0)
+        st_ = adamw_init(params, 0.1, OptimConfig(weight_decay=0.0))
         adamw_step(params, {"w": np.array([1.0])}, st_)
         oracle = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))  # m_hat = v_hat = 1 on step 1
         assert abs(params["w"][0] - oracle) < 1e-12
 
     def test_zero_gradient_zero_decay_is_identity(self):
         params = {"w": np.array([1.0, -2.0])}
-        st_ = adamw_init(params, lr=0.1, weight_decay=0.0)
+        st_ = adamw_init(params, 0.1, OptimConfig(weight_decay=0.0))
         adamw_step(params, {"w": np.zeros(2)}, st_)
         np.testing.assert_array_equal(params["w"], np.array([1.0, -2.0]))
 
     def test_pure_decay_is_decoupled(self):
         params = {"w": np.array([1.0])}
-        st_ = adamw_init(params, lr=0.1, weight_decay=0.1)
+        st_ = adamw_init(params, 0.1, OptimConfig(weight_decay=0.1))
         adamw_step(params, {"w": np.zeros(1)}, st_)
         assert abs(params["w"][0] - 0.99) < 1e-12
 
@@ -191,7 +202,7 @@ class TestAdamW:
         grads = [rng.normal(size=6) for _ in range(5)]
 
         params = {"w": theta0.copy()}
-        st_ = adamw_init(params, lr=0.01, weight_decay=0.0)
+        st_ = adamw_init(params, 0.01, OptimConfig(weight_decay=0.0))
         for g in grads:
             adamw_step(params, {"w": g}, st_)
 
@@ -210,7 +221,7 @@ class TestAdamW:
     def test_decay_independent_of_gradient_magnitude(self):
         for scale in (1e-6, 1.0, 1e6):
             params = {"w": np.array([2.0])}
-            st_ = adamw_init(params, lr=0.1, weight_decay=0.05)
+            st_ = adamw_init(params, 0.1, OptimConfig(weight_decay=0.05))
             adamw_step(params, {"w": np.array([scale])}, st_)
             # decay contribution is always lr * wd * theta regardless of g
             decay_part = 0.1 * 0.05 * params["w"][0]
@@ -273,7 +284,7 @@ class TestAdamW:
 
     def test_nonfinite_gradient_aborts_with_parameter_name(self):
         params = {"w": np.array([1.0])}
-        st_ = adamw_init(params, lr=0.1)
+        st_ = adamw_init(params, 0.1)
         with pytest.raises(TrainingAbort) as err:
             adamw_step(params, {"w": np.array([np.nan])}, st_)
         assert err.value.parameter == "w"
@@ -287,19 +298,19 @@ class TestPlateauScheduler:
         assert st_.lr == 1.0
 
     def test_halves_exactly_once_after_patience_exhausted(self):
-        st_ = SchedulerState(lr=1.0, patience=4)
+        st_ = SchedulerState(lr=1.0, cfg=SchedConfig(patience=4))
         plateau_step(st_, 0.7)  # best
         lrs = [plateau_step(st_, 0.65) for _ in range(5)]
         assert lrs == [1.0, 1.0, 1.0, 1.0, 0.5]  # 5th stale epoch crosses patience 4
 
     def test_min_lr_clamps(self):
-        st_ = SchedulerState(lr=2e-6, patience=0, min_lr=1e-6)
+        st_ = SchedulerState(lr=2e-6, cfg=SchedConfig(patience=0, min_lr=1e-6))
         plateau_step(st_, 0.9)
         assert plateau_step(st_, 0.1) == 1e-6
         assert plateau_step(st_, 0.1) == 1e-6
 
     def test_threshold_prevents_float_noise_resets(self):
-        st_ = SchedulerState(lr=1.0, patience=1, threshold=1e-4)
+        st_ = SchedulerState(lr=1.0, cfg=SchedConfig(patience=1, threshold=1e-4))
         plateau_step(st_, 0.5)
         plateau_step(st_, 0.5 + 1e-6)  # within threshold: not an improvement
         assert st_.stale == 1
@@ -330,8 +341,8 @@ class TestEarlyStop:
 
 class TestFiniteDiffCheck:
     def test_zero_model_passes_trivially(self):
-        m = build_model(4, 3, np.random.default_rng(0), lstm_hidden=3, kan_hidden=3,
-                        dropout_rate=0.0, kan_init_scale=0.0)
+        sizes = ModelConfig(lstm_hidden=3, kan_hidden=3, dropout=0.0)
+        m = build_model(4, 3, np.random.default_rng(0), sizes, kan_init_scale=0.0)
         for layer in m.kan.layers:
             layer.coeffs[...] = 0.0
         err = finite_diff_check(m, np.zeros(4), 0)
@@ -339,13 +350,13 @@ class TestFiniteDiffCheck:
 
     def test_random_model_passes_at_small_h(self):
         rng = np.random.default_rng(5)
-        m = build_model(5, 4, rng, lstm_hidden=4, kan_hidden=4, dropout_rate=0.0)
+        m = build_model(5, 4, rng, ModelConfig(lstm_hidden=4, kan_hidden=4, dropout=0.0))
         err = finite_diff_check(m, rng.normal(size=5), 2, h=1e-5, rng=rng)
         assert err < 1e-4
 
     def test_pathological_h_reports_failure(self):
         # h = 1 invalidates the Taylor expansion, so the check must flag it
         rng = np.random.default_rng(6)
-        m = build_model(5, 4, rng, lstm_hidden=4, kan_hidden=4, dropout_rate=0.0)
+        m = build_model(5, 4, rng, ModelConfig(lstm_hidden=4, kan_hidden=4, dropout=0.0))
         err = finite_diff_check(m, rng.normal(size=5), 2, h=1.0, rng=rng)
         assert err > 1e-2
