@@ -122,7 +122,7 @@ def _extract_one(args):
     path, cfg_dict = args
     cfg = FeatureConfig(**cfg_dict)
     layout = default_layout(cfg)
-    return extract(preprocess(read_wav(path), cfg), layout).values
+    return extract(preprocess(read_wav(path), cfg), layout)
 
 
 def _extract_all(paths, feature_config: FeatureConfig, jobs: int) -> np.ndarray:
@@ -172,8 +172,8 @@ def _train_once(cfg, index, source, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     best = next(a for a in artifacts if a.fold == report.best_fold)
-    dump = export_splines(best.model.kan, cfg.spline_samples)
-    written = export(report, out_dir, spline_dump=dump)
+    splines = export_splines(best.model.kan, cfg.spline_samples)
+    written = export(report, out_dir, spline_dump=splines)
     for art in artifacts:
         ckpt = out_dir / f"model_fold{art.fold}.npz"
         save_checkpoint(
@@ -287,11 +287,12 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_export_splines(args) -> int:
     model, header, _, _ = load_checkpoint(args.checkpoint)
-    dump = export_splines(model.kan, args.samples)
+    splines = export_splines(model.kan, args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_splines_csv(dump, out / "splines.csv")
-    print(f"wrote {len(dump.curves)} curves to {out / 'splines.csv'}")
+    write_splines_csv(splines, out / "splines.csv")
+    curves = sum(phi.shape[0] * phi.shape[1] for _, phi in splines)
+    print(f"wrote {curves} curves to {out / 'splines.csv'}")
     return 0
 
 

@@ -45,6 +45,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.stage2_max_epochs < 1:
             raise ValueError("batch_size and stage2_max_epochs must be positive")
+        if self.stage1_epochs < 0:
+            raise ValueError("stage1_epochs must be >= 0")
         if self.stage1_majority_cap < 1:
             raise ValueError("stage1_majority_cap must be >= 1")
         if self.early_stop_patience < 1:
@@ -74,6 +76,11 @@ class RunConfig:
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.min_class_count < 1:
+            raise ValueError("min_class_count must be >= 1: a kept class needs recordings")
+        if self.sched.min_lr > self.optim.lr_stage2:
+            # plateau_step's max(lr * factor, min_lr) would raise the rate
+            raise ValueError("sched.min_lr must not exceed optim.lr_stage2")
         if self.calibration_bins < 1:
             raise ValueError("calibration_bins must be >= 1")
         if self.spline_samples < 2:

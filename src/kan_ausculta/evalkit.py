@@ -222,7 +222,7 @@ class CalibrationReport:
     ece: float
 
 
-def calibration_bins(y_true, probs, n_bins: int = 10) -> CalibrationReport:
+def calibration_bins(y_true, probs, n_bins: int) -> CalibrationReport:
     y_true = np.asarray(y_true, dtype=int)
     probs = np.asarray(probs, dtype=float)
     if n_bins < 1:

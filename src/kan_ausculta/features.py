@@ -53,14 +53,12 @@ __all__ = [
     "FeatureConfig",
     "AudioSignal",
     "FeatureLayout",
-    "FeatureVector",
     "STAT_NAMES",
     "read_wav",
     "preprocess",
     "resample",
     "magnitude_spectrogram",
     "mel_filterbank",
-    "mel_band_centers",
     "mfcc_from_mel",
     "streams",
     "aggregate",
@@ -132,12 +130,6 @@ class FeatureLayout:
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-    fingerprint: str
 
 
 # ----------------------------------------------------------------------------
@@ -274,13 +266,6 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
         hz_points[2:, None] - hz_points[1:-1, None]
     )
     return np.maximum(0.0, np.minimum(lower, upper))
-
-
-def mel_band_centers(cfg: FeatureConfig) -> np.ndarray:
-    mel_points = np.linspace(
-        hz_to_mel(0.0), hz_to_mel(cfg.sample_rate / 2.0), cfg.n_mels + 2
-    )
-    return mel_to_hz(mel_points)[1:-1]
 
 
 def mfcc_from_mel(mel: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
@@ -468,12 +453,14 @@ def default_layout(cfg: FeatureConfig = FeatureConfig()) -> FeatureLayout:
     return FeatureLayout(entries=tuple(entries), config=cfg)
 
 
-def extract(sig: AudioSignal, layout: FeatureLayout) -> FeatureVector:
+def extract(sig: AudioSignal, layout: FeatureLayout) -> np.ndarray:
     """Aggregate every stream and concatenate in layout order; NaN/Inf -> 0.
 
-    A fully silent signal carries no information and short-circuits to the
-    all-zero vector (mel/chroma/spectral/onset streams are all zero there;
-    the cepstral log floor would otherwise leak a constant).
+    Returns the ``(layout.dim,)`` feature vector; ``layout.fingerprint``
+    names the layout it follows. A fully silent signal carries no
+    information and short-circuits to the all-zero vector
+    (mel/chroma/spectral/onset streams are all zero there; the cepstral log
+    floor would otherwise leak a constant).
     """
     cfg = layout.config
     if sig.sample_rate != cfg.sample_rate:
@@ -483,7 +470,7 @@ def extract(sig: AudioSignal, layout: FeatureLayout) -> FeatureVector:
         )
     samples = np.asarray(sig.samples, dtype=float)
     if not samples.size or not np.any(samples):
-        return FeatureVector(values=np.zeros(layout.dim), fingerprint=layout.fingerprint)
+        return np.zeros(layout.dim)
 
     frames, n_onsets, onset_rate = streams(sig, cfg)
     stats = aggregate(np.vstack(list(frames.values())))
@@ -492,8 +479,7 @@ def extract(sig: AudioSignal, layout: FeatureLayout) -> FeatureVector:
         raise FingerprintError(
             f"extractor produced {values.shape[0]} values but layout declares {layout.dim}"
         )
-    values = np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=0.0)
-    return FeatureVector(values=values, fingerprint=layout.fingerprint)
+    return np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=0.0)
 
 
 # ----------------------------------------------------------------------------

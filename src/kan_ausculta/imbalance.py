@@ -329,7 +329,7 @@ def apply_transforms(
 def build_stage1_subset(
     index: DatasetIndex,
     majority_class: int,
-    cap: int = 50,
+    cap: int,
     rng: np.random.Generator | None = None,
 ) -> DatasetIndex:
     """All minority-class rows plus a seeded sample of at most ``cap`` majority rows."""

@@ -12,12 +12,12 @@ Forward/backward are vectorized: ``x`` may be a single vector (n_in,) or a
 batch (B, n_in). Each pass is a matmul against the coefficients flattened to
 (n_out, n_in * n_basis); the forward pass evaluates the basis and its
 derivatives once and caches both, so the backward pass evaluates none.
-Gradients are exact; see ``kan_backward``.
+Gradients are exact, returned as plain arrays; see ``kan_backward``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +28,6 @@ __all__ = [
     "KanLayer",
     "KanNetwork",
     "KanCache",
-    "KanLayerGrads",
-    "SplineCurve",
-    "SplineDump",
     "kan_init",
     "kan_forward",
     "kan_backward",
@@ -78,9 +75,6 @@ class KanNetwork:
     def n_out(self) -> int:
         return self.layers[-1].n_out
 
-    def coefficient_count(self) -> int:
-        return sum(layer.coeffs.size for layer in self.layers)
-
 
 @dataclass
 class KanCache:
@@ -89,11 +83,6 @@ class KanCache:
     x: np.ndarray
     basis: np.ndarray  # x.shape + (n_basis,)
     dbasis: np.ndarray  # d basis / dx, same shape
-
-
-@dataclass
-class KanLayerGrads:
-    coeffs: np.ndarray
 
 
 def kan_init(
@@ -133,19 +122,15 @@ def kan_forward(layer: KanLayer, x) -> tuple[np.ndarray, KanCache]:
     return y, KanCache(x=x, basis=basis, dbasis=dbasis)
 
 
-def kan_backward(
-    layer: KanLayer, x, cache: KanCache, upstream
-) -> tuple[np.ndarray, KanLayerGrads]:
+def kan_backward(layer: KanLayer, cache: KanCache, upstream) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the layer output.
 
-    Returns ``(grad_x, grads)`` where ``grads.coeffs[i, j, k]`` is the
+    Returns ``(grad_x, grad_coeffs)`` where ``grad_coeffs[i, j, k]`` is the
     derivative of ``sum(upstream * y)`` w.r.t. coefficient (i, j, k)
-    (summed over the batch when batched) and ``grad_x`` matches ``x``.
+    (summed over the batch when batched) and ``grad_x`` matches ``cache.x``.
     """
-    x = np.asarray(x, dtype=float)
+    x = cache.x
     upstream = np.asarray(upstream, dtype=float)
-    if x.shape != cache.x.shape:
-        raise ShapeError("x does not match the cached forward input")
     if upstream.shape[:-1] != x.shape[:-1] or upstream.shape[-1] != layer.n_out:
         raise ShapeError(
             f"upstream shape {upstream.shape} inconsistent with ({x.shape}, n_out={layer.n_out})"
@@ -157,7 +142,7 @@ def kan_backward(
     # d(upstream . y)/d basis, weighted by each basis's derivative, summed per input
     grad_basis = (up2 @ layer.coeffs.reshape(layer.n_out, -1)).reshape(cache.dbasis.shape)
     grad_x = (grad_basis * cache.dbasis).sum(-1)
-    return grad_x, KanLayerGrads(coeffs=grad_coeffs)
+    return grad_x, grad_coeffs
 
 
 def kan_network_init(
@@ -186,53 +171,27 @@ def network_forward(net: KanNetwork, x) -> tuple[np.ndarray, list[KanCache]]:
 
 def network_backward(
     net: KanNetwork, caches: list[KanCache], upstream
-) -> tuple[np.ndarray, list[KanLayerGrads]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     if len(caches) != len(net.layers):
         raise ShapeError("cache list does not match the network depth")
-    grads: list[KanLayerGrads] = [None] * len(net.layers)  # type: ignore[list-item]
+    grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     for idx in range(len(net.layers) - 1, -1, -1):
-        upstream, grads[idx] = kan_backward(
-            net.layers[idx], caches[idx].x, caches[idx], upstream
-        )
+        upstream, grads[idx] = kan_backward(net.layers[idx], caches[idx], upstream)
     return upstream, grads
 
 
-@dataclass
-class SplineCurve:
-    layer: int
-    out_index: int
-    in_index: int
-    x: np.ndarray
-    phi: np.ndarray
+def export_splines(network: KanNetwork, samples_per_curve: int) -> list[tuple]:
+    """Sample every edge function over its grid domain for inspection/plotting.
 
-
-@dataclass
-class SplineDump:
-    """Sampled (x, phi(x)) polylines for every edge of a network."""
-
-    curves: list[SplineCurve] = field(default_factory=list)
-
-
-def export_splines(network: KanNetwork, samples_per_curve: int) -> SplineDump:
-    """Sample every edge function over its grid domain for inspection/plotting."""
+    Returns one ``(x, phi)`` pair per layer, ``phi[i, j]`` the (output i,
+    input j) edge at the points ``x``: shape (n_out, n_in, samples_per_curve).
+    """
     if samples_per_curve < 2:
         raise ValueError(f"samples_per_curve must be >= 2, got {samples_per_curve}")
-    dump = SplineDump()
-    for layer_idx, layer in enumerate(network.layers):
+    out = []
+    for layer in network.layers:
         grid = layer.grid
         xs = np.linspace(grid.t_min, grid.t_max, samples_per_curve)
         basis = bspline_basis(xs, grid)  # (samples, n_basis)
-        # phi values for all edges at once: (n_out, n_in, samples)
-        phis = np.einsum("ijk,sk->ijs", layer.coeffs, basis)
-        for i in range(layer.n_out):
-            for j in range(layer.n_in):
-                dump.curves.append(
-                    SplineCurve(
-                        layer=layer_idx,
-                        out_index=i,
-                        in_index=j,
-                        x=xs.copy(),
-                        phi=phis[i, j].copy(),
-                    )
-                )
-    return dump
+        out.append((xs, np.einsum("ijk,sk->ijs", layer.coeffs, basis)))
+    return out

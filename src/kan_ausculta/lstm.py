@@ -20,7 +20,8 @@ stays a parameter (checkpoints keep it and weight decay moves it), but its
 gradients are exact zeros.
 
 The encoder concatenates the two directions' hidden states; inverted
-dropout is applied to that output in training mode only. The general
+dropout is applied to that output in training mode only. Gradients come back
+as plain ``(w_x, bias)`` array pairs, one per direction. The general
 length-L recurrence with backpropagation through time lives in
 ``tests/test_lstm.py`` as the oracle this closed form is checked against.
 """
@@ -37,8 +38,6 @@ __all__ = [
     "GATE_ORDER",
     "LstmWeights",
     "BiLstm",
-    "LstmGrads",
-    "BiLstmGrads",
     "EncodeCache",
     "lstm_init",
     "bilstm_init",
@@ -83,7 +82,7 @@ class LstmWeights:
 class BiLstm:
     forward: LstmWeights
     backward: LstmWeights
-    dropout_rate: float = 0.3
+    dropout_rate: float
 
     def __post_init__(self):
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -139,18 +138,6 @@ class EncodeCache:
     hidden_size: int
 
 
-@dataclass
-class LstmGrads:
-    w_x: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass
-class BiLstmGrads:
-    forward: LstmGrads
-    backward: LstmGrads
-
-
 def _step_from_zero(w: LstmWeights, x: np.ndarray):
     """One cell step from zero state; returns ``(h, (i, g, o, tanh(c)))``."""
     h_size = w.hidden_size
@@ -203,8 +190,8 @@ def bilstm_encode(
     return out, cache
 
 
-def _step_grads(x2: np.ndarray, gates: tuple, dh) -> LstmGrads:
-    """Parameter gradients of one zero-state step; ``x2`` is the (B, d_in) input."""
+def _step_grads(x2: np.ndarray, gates: tuple, dh) -> tuple[np.ndarray, np.ndarray]:
+    """``(w_x, bias)`` gradients of one zero-state step; ``x2`` is the (B, d_in) input."""
     i, g, o, tanh_c = gates
     da_o = dh * tanh_c * o * (1.0 - o)
     dc = dh * o * (1.0 - tanh_c * tanh_c)
@@ -215,12 +202,13 @@ def _step_grads(x2: np.ndarray, gates: tuple, dh) -> LstmGrads:
     # matmul in another order, and the w_x gradient must keep its bytes
     da = np.concatenate([da_i, np.zeros_like(da_i), da_g, da_o], axis=-1)
     da2 = da.reshape(-1, da.shape[-1])
-    return LstmGrads(w_x=da2.T @ x2, bias=da2.sum(axis=0))
+    return da2.T @ x2, da2.sum(axis=0)
 
 
-def bilstm_backward(m: BiLstm, cache: EncodeCache, upstream) -> BiLstmGrads:
+def bilstm_backward(m: BiLstm, cache: EncodeCache, upstream):
     """Exact gradients of the encode output w.r.t. all parameters.
 
+    Returns one ``(w_x, bias)`` gradient pair per direction, forward first.
     ``upstream`` must match the encode output shape (..., 2H). The
     forget-gate rows of ``w_x`` and ``bias`` get exact zeros.
     """
@@ -238,7 +226,7 @@ def bilstm_backward(m: BiLstm, cache: EncodeCache, upstream) -> BiLstmGrads:
 
     h = m.hidden_size
     x2 = cache.x.reshape(-1, cache.x.shape[-1])
-    return BiLstmGrads(
-        forward=_step_grads(x2, cache.fwd_gates, upstream[..., :h]),
-        backward=_step_grads(x2, cache.bwd_gates, upstream[..., h:]),
+    return (
+        _step_grads(x2, cache.fwd_gates, upstream[..., :h]),
+        _step_grads(x2, cache.bwd_gates, upstream[..., h:]),
     )

@@ -6,9 +6,10 @@ then passed through the KAN stack whose final layer width equals the
 class count. Softmax lives outside the network; the network boundary is
 raw logits.
 
-Parameters are exposed as a flat name -> ndarray dict (views, not copies)
-so the optimizer, checkpointing, and the finite-difference checker all
-share one addressing scheme, every tensor of which the forward pass reads:
+Parameters are exposed as a flat name -> ndarray dict (views, not copies),
+and ``model_backward`` returns gradients under the same names, so the
+optimizer, checkpointing, and the finite-difference checker all share one
+addressing scheme, every tensor of which the forward pass reads:
 
     lstm.fwd.w_x  lstm.fwd.bias
     lstm.bwd.w_x  lstm.bwd.bias
@@ -26,19 +27,17 @@ import numpy as np
 from .atomic import atomic_write, read_npz
 from .errors import DataError, FingerprintError, ShapeError
 from .kan import KanLayer, KanNetwork, kan_network_init, network_backward, network_forward
-from .lstm import BiLstm, BiLstmGrads, LstmWeights, bilstm_backward, bilstm_encode, bilstm_init
+from .lstm import BiLstm, LstmWeights, bilstm_backward, bilstm_encode, bilstm_init
 from .splines import KnotVector, make_uniform_grid
 
 __all__ = [
     "ModelConfig",
     "HybridModel",
-    "ModelGrads",
     "build_model",
     "model_forward",
     "model_backward",
     "softmax",
     "parameters",
-    "grads_to_dict",
     "snapshot_parameters",
     "restore_parameters",
     "save_checkpoint",
@@ -91,12 +90,6 @@ class HybridModel:
         return self.kan.n_out
 
 
-@dataclass
-class ModelGrads:
-    encoder: BiLstmGrads
-    kan: list
-
-
 def build_model(
     d_feat: int,
     class_count: int,
@@ -132,12 +125,14 @@ def model_forward(
     return logits, (enc_cache, kan_caches)
 
 
-def model_backward(m: HybridModel, cache, grad_logits) -> ModelGrads:
-    """Exact gradients of sum(grad_logits * logits) w.r.t. every parameter."""
+def model_backward(m: HybridModel, cache, grad_logits) -> dict[str, np.ndarray]:
+    """Exact gradients of sum(grad_logits * logits) w.r.t. every parameter.
+
+    Keyed and ordered as ``parameters(m)``; the arrays are new, not views.
+    """
     enc_cache, kan_caches = cache
     grad_encoded, kan_grads = network_backward(m.kan, kan_caches, grad_logits)
-    enc_grads = bilstm_backward(m.encoder, enc_cache, grad_encoded)
-    return ModelGrads(encoder=enc_grads, kan=kan_grads)
+    return _named(bilstm_backward(m.encoder, enc_cache, grad_encoded), kan_grads)
 
 
 def softmax(logits) -> np.ndarray:
@@ -150,25 +145,21 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _named(directions, kan_coeffs) -> dict[str, np.ndarray]:
+    """Name the (w_x, bias) pair of each LSTM direction and each KAN layer's coefficients."""
+    out: dict[str, np.ndarray] = {}
+    for tag, (w_x, bias) in zip(("fwd", "bwd"), directions):
+        out[f"lstm.{tag}.w_x"] = w_x
+        out[f"lstm.{tag}.bias"] = bias
+    for idx, coeffs in enumerate(kan_coeffs):
+        out[f"kan.{idx}.coeffs"] = coeffs
+    return out
+
+
 def parameters(m: HybridModel) -> dict[str, np.ndarray]:
     """Flat name -> array views over all learnable tensors."""
-    out: dict[str, np.ndarray] = {}
-    for tag, w in (("fwd", m.encoder.forward), ("bwd", m.encoder.backward)):
-        out[f"lstm.{tag}.w_x"] = w.w_x
-        out[f"lstm.{tag}.bias"] = w.bias
-    for idx, layer in enumerate(m.kan.layers):
-        out[f"kan.{idx}.coeffs"] = layer.coeffs
-    return out
-
-
-def grads_to_dict(g: ModelGrads) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for tag, lg in (("fwd", g.encoder.forward), ("bwd", g.encoder.backward)):
-        out[f"lstm.{tag}.w_x"] = lg.w_x
-        out[f"lstm.{tag}.bias"] = lg.bias
-    for idx, kg in enumerate(g.kan):
-        out[f"kan.{idx}.coeffs"] = kg.coeffs
-    return out
+    directions = [(w.w_x, w.bias) for w in (m.encoder.forward, m.encoder.backward)]
+    return _named(directions, [layer.coeffs for layer in m.kan.layers])
 
 
 def snapshot_parameters(m: HybridModel) -> dict[str, np.ndarray]:

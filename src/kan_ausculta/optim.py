@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingAbort
-from .model import grads_to_dict, model_backward, model_forward, parameters, softmax
+from .model import model_backward, model_forward, parameters, softmax
 
 __all__ = [
     "FocalParams",
@@ -264,8 +264,8 @@ def plateau_step(st: SchedulerState, metric: float) -> float:
 class EarlyStopState:
     """Stop after ``patience`` consecutive non-improving epochs, keeping the best snapshot."""
 
-    patience: int = 7
-    threshold: float = 1e-4
+    patience: int
+    threshold: float
     best: float = -math.inf
     stale: int = 0
     best_snapshot: object = None
@@ -344,7 +344,7 @@ def finite_diff_check(
 
     logits, cache = model_forward(model, sample, training=False)
     _, grad_logits = focal_loss(softmax(logits), target, fp)
-    analytic = grads_to_dict(model_backward(model, cache, grad_logits))
+    analytic = model_backward(model, cache, grad_logits)
 
     params = parameters(model)
     atol = 1e-8

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .atomic import atomic_write
 from .errors import DataError
-from .kan import SplineDump
 from .training import RunReport
 
 __all__ = ["export", "load_report", "write_splines_csv"]
@@ -110,30 +109,31 @@ def _calibration_csv(report: RunReport) -> str:
     return "".join(lines)
 
 
-def splines_csv_text(dump: SplineDump) -> str:
+def splines_csv_text(splines) -> str:
+    """One row per sample of every edge, from ``kan.export_splines``'s ``(x, phi)`` pairs."""
     # the same bytes as _csv_line per row: ``.17g`` already prints NaN as "nan"
     lines = [_csv_line(["layer", "out_index", "in_index", "x", "phi"])]
-    for curve in dump.curves:
-        prefix = f"{curve.layer},{curve.out_index},{curve.in_index},"
-        lines.extend(
-            f"{prefix}{x:.17g},{phi:.17g}\n"
-            for x, phi in zip(curve.x.tolist(), curve.phi.tolist())
-        )
+    for layer, (xs, phi) in enumerate(splines):
+        x_text = [f"{x:.17g}" for x in xs.tolist()]
+        for i, row in enumerate(phi.tolist()):
+            for j, curve in enumerate(row):
+                lines.extend(f"{layer},{i},{j},{x},{p:.17g}\n" for x, p in zip(x_text, curve))
     return "".join(lines)
 
 
-def write_splines_csv(dump: SplineDump, path) -> None:
+def write_splines_csv(splines, path) -> None:
     """Write splines.csv atomically: staged next to ``path``, then renamed."""
-    text = splines_csv_text(dump)
+    text = splines_csv_text(splines)
     with atomic_write(path) as staged, open(staged, "w") as fh:
         fh.write(text)
 
 
-def export(report: RunReport, out_dir, spline_dump: SplineDump | None = None) -> list:
-    """Write report.json plus the CSV views; returns the written paths.
+def export(report: RunReport, out_dir, spline_dump: list | None = None) -> list:
+    """Write report.json plus the CSV views (splines.csv from ``spline_dump``).
 
-    Everything is staged in a temp directory inside ``out_dir`` and
-    renamed at the end, so either all files land or none do.
+    Returns the written paths. Everything is staged in a temp directory
+    inside ``out_dir`` and renamed at the end, so either all files land or
+    none do.
     """
     out_dir = Path(out_dir)
     try:

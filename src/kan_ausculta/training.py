@@ -40,7 +40,6 @@ from .features import AudioSignal, default_layout, extract, preprocess, read_wav
 from .imbalance import apply_transforms, build_stage1_subset, smote_resample
 from .model import (
     build_model,
-    grads_to_dict,
     model_backward,
     model_forward,
     parameters,
@@ -132,7 +131,7 @@ class AudioFeatureSource:
 
     def _extract_path(self, path) -> np.ndarray:
         raw = read_wav(path)
-        return extract(preprocess(raw, self.layout.config), self.layout).values
+        return extract(preprocess(raw, self.layout.config), self.layout)
 
     def base_row(self, path) -> np.ndarray:
         if path not in self._cache:
@@ -167,7 +166,7 @@ class AudioFeatureSource:
                     ),
                     sample_rate=raw.sample_rate,
                 )
-                out[i] = extract(preprocess(augmented, self.layout.config), self.layout).values
+                out[i] = extract(preprocess(augmented, self.layout.config), self.layout)
             else:
                 out[i] = self.base_row(row.path)
         return out
@@ -271,7 +270,7 @@ class FoldArtifacts:
     scaler: Scaler
 
 
-def compute_metric_bundle(y_true, probs, class_names, n_bins: int = 10) -> MetricBundle:
+def compute_metric_bundle(y_true, probs, class_names, n_bins: int) -> MetricBundle:
     y_true = np.asarray(y_true, dtype=int)
     probs = np.asarray(probs, dtype=float)
     n_classes = len(class_names)
@@ -326,8 +325,7 @@ def _train_one_epoch(model, params, features, labels, fp, opt_state, batch_size,
         idx = order[start : start + batch_size]
         logits, cache = model_forward(model, features[idx], training=True, rng=rng)
         loss, grad_logits = focal_loss_batch(softmax(logits), labels[idx], fp)
-        grads = grads_to_dict(model_backward(model, cache, grad_logits))
-        adamw_step(params, grads, opt_state)
+        adamw_step(params, model_backward(model, cache, grad_logits), opt_state)
         total += loss * len(idx)
     return total / len(order)
 

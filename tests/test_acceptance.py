@@ -151,7 +151,7 @@ def test_criterion_04_optimizer_traces():
     lrs = [plateau_step(sched, 0.65) for _ in range(5)]
     sched_case = lrs == [1.0, 1.0, 1.0, 1.0, 0.5]
 
-    stopper = EarlyStopState(patience=7)
+    stopper = EarlyStopState(patience=7, threshold=1e-4)
     early_stop(stopper, 0.7, snapshot="best", epoch=1)
     outcomes = [
         early_stop(stopper, 0.69, snapshot=f"stale{k}", epoch=1 + k) for k in range(1, 8)
@@ -304,8 +304,8 @@ def test_criterion_08_dsp_sanity():
     clean = True
     for samples in adversarial:
         sig = preprocess(AudioSignal(samples, sr), cfg)
-        a = extract(sig, layout).values
-        b = extract(sig, layout).values
+        a = extract(sig, layout)
+        b = extract(sig, layout)
         clean &= np.all(np.isfinite(a)) and np.array_equal(a, b)
     elapsed = time.monotonic() - start
     _report(

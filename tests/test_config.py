@@ -25,12 +25,15 @@ BAD_SETTINGS = [
     ("sched.factor", "nan"),
     ("sched.threshold", "inf"),
     ("sched.min_lr", "nan"),
+    ("sched.min_lr", "0.5"),
     ("focal.gamma", "nan"),
     ("focal.gamma", "inf"),
     ("focal.alpha.URTI", "-5"),
     ("focal.alpha.URTI", "nan"),
     ("train.early_stop_threshold", "nan"),
     ("train.stage1_majority_cap", "0"),
+    ("train.stage1_epochs", "-3"),
+    ("data.min_class_count", "0"),
     ("eval.calibration_bins", "0"),
     ("eval.spline_samples", "1"),
     ("features.frame_length", "0"),

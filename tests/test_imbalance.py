@@ -414,9 +414,9 @@ class TestStage1Subset:
     def test_validation_rows_rejected(self):
         index = make_index([20, 10], split="val")
         with pytest.raises(ContractViolation):
-            build_stage1_subset(index, 0, rng=np.random.default_rng(0))
+            build_stage1_subset(index, 0, cap=50, rng=np.random.default_rng(0))
 
     def test_missing_majority_class_rejected(self):
         index = make_index([5, 5])
         with pytest.raises(ValueError):
-            build_stage1_subset(index, 3, rng=np.random.default_rng(0))
+            build_stage1_subset(index, 3, cap=50, rng=np.random.default_rng(0))

@@ -6,7 +6,6 @@ import pytest
 from kan_ausculta.errors import ContractViolation, ShapeError
 from kan_ausculta.lstm import (
     BiLstm,
-    BiLstmGrads,
     LstmWeights,
     _sigmoid,
     bilstm_backward,
@@ -146,7 +145,8 @@ def _bptt(w: RecurrentWeights, steps: list, dh_final):
 
 
 def oracle_backward(m: BiLstm, cache, upstream):
-    """Returns ``(BiLstmGrads, grad_seq)`` with ``grad_seq`` shaped like the sequence."""
+    """Returns ``((fwd, bwd), grad_seq)``: one ``RecurrentGrads`` per direction, and
+    ``grad_seq`` shaped like the sequence."""
     fwd_steps, bwd_steps, mask, seq_shape = cache
     upstream = np.asarray(upstream, dtype=float)
     if mask is not None:
@@ -160,7 +160,7 @@ def oracle_backward(m: BiLstm, cache, upstream):
         grad_seq[..., t, :] += fwd_dxs[t]
         # the reversed direction's step s consumed original index L-1-s
         grad_seq[..., length - 1 - t, :] += bwd_dxs[t]
-    return BiLstmGrads(forward=fwd_grads, backward=bwd_grads), grad_seq
+    return (fwd_grads, bwd_grads), grad_seq
 
 
 def zero_weights(d_in, hidden):
@@ -171,12 +171,14 @@ def zero_weights(d_in, hidden):
     )
 
 
-def grad_tensors(grads: BiLstmGrads) -> dict:
-    return {
-        f"{tag}.{name}": g
-        for tag, direction in (("fwd", "forward"), ("bwd", "backward"))
-        for name, g in vars(getattr(grads, direction)).items()
-    }
+def grad_tensors(grads) -> dict:
+    """Name each direction's gradients, given as the model's ``(w_x, bias)`` pairs
+    or as the oracle's ``RecurrentGrads``."""
+    named = {}
+    for tag, g in zip(("fwd", "bwd"), grads):
+        tensors = vars(g) if isinstance(g, RecurrentGrads) else {"w_x": g[0], "bias": g[1]}
+        named.update({f"{tag}.{name}": arr for name, arr in tensors.items()})
+    return named
 
 
 class TestCellStep:
@@ -214,7 +216,7 @@ class TestCellStep:
         w = zero_weights(3, 4)
         with pytest.raises(ShapeError):
             lstm_cell_step(w, np.zeros(2), np.zeros(4), np.zeros(4))
-        m = BiLstm(forward=w, backward=zero_weights(3, 4))
+        m = BiLstm(forward=w, backward=zero_weights(3, 4), dropout_rate=0.3)
         with pytest.raises(ShapeError):
             bilstm_encode(m, np.zeros(2))
         with pytest.raises(ShapeError):
@@ -397,7 +399,7 @@ class TestBackward:
         m = with_recurrent(bilstm_init(3, 4, 0.0, rng), rng)
         _, cache = oracle_encode(m, rng.normal(size=(3, 3)))
         grads, _ = oracle_backward(m, cache, rng.normal(size=8))
-        assert np.abs(grads.forward.w_h).max() > 0
+        assert np.abs(grads[0].w_h).max() > 0
 
     def test_dropout_mask_applied_in_backward(self):
         rng = np.random.default_rng(29)

@@ -11,7 +11,6 @@ from kan_ausculta.errors import DataError, FingerprintError, ShapeError
 from kan_ausculta.model import (
     ModelConfig,
     build_model,
-    grads_to_dict,
     CHECKPOINT_VERSION,
     load_checkpoint,
     model_backward,
@@ -117,7 +116,7 @@ class TestEncoderGradients:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(8, m.feature_dim))
         logits, cache = model_forward(m, x, training=True, rng=rng)
-        return grads_to_dict(model_backward(m, cache, rng.normal(size=logits.shape)))
+        return model_backward(m, cache, rng.normal(size=logits.shape))
 
     def test_forget_gate_gradients_are_zero_and_decay_moves_them(self):
         m = small_model(seed=16, dropout=0.3)
@@ -151,6 +150,21 @@ class TestEncoderGradients:
         assert params["lstm.fwd.bias"].shape == (16,)
         assert m.encoder.hidden_size == 4
         assert {k: g.shape for k, g in grads.items()} == {k: p.shape for k, p in params.items()}
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_gradients_are_new_arrays_named_like_parameters(self, batched):
+        # adamw_step updates the parameters in place, so a gradient that
+        # aliased one would change under it
+        m = small_model(seed=20, dropout=0.3)
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(6, 5) if batched else 5)
+        logits, cache = model_forward(m, x, training=True, rng=rng)
+        grads = model_backward(m, cache, rng.normal(size=logits.shape))
+        params = parameters(m)
+        assert list(grads) == list(params)
+        assert [g.shape for g in grads.values()] == [p.shape for p in params.values()]
+        for name, g in grads.items():
+            assert not any(np.shares_memory(g, p) for p in params.values()), name
 
 
 class TestSnapshots:

@@ -10,7 +10,6 @@ from kan_ausculta.errors import TrainingAbort
 from kan_ausculta.model import (
     ModelConfig,
     build_model,
-    grads_to_dict,
     model_backward,
     model_forward,
     parameters,
@@ -277,7 +276,7 @@ class TestAdamW:
         model = build_model(1927, 6, rng)
         x = rng.normal(size=(16, 1927))
         logits, cache = model_forward(model, x, training=True, rng=rng)
-        grads = grads_to_dict(model_backward(model, cache, rng.normal(size=logits.shape)))
+        grads = model_backward(model, cache, rng.normal(size=logits.shape))
         hidden = model.encoder.hidden_size
         assert not grads["lstm.fwd.w_x"][hidden : 2 * hidden].any()
         assert_steps_match_oracle(parameters(model), [grads] * 5, lr=3e-3, weight_decay=1e-3)
@@ -318,12 +317,12 @@ class TestPlateauScheduler:
 
 class TestEarlyStop:
     def test_monotone_improvement_never_stops(self):
-        st_ = EarlyStopState(patience=7)
+        st_ = EarlyStopState(patience=7, threshold=1e-4)
         for metric in np.linspace(0.1, 0.9, 30):
             assert not early_stop(st_, metric, snapshot=metric)
 
     def test_stops_at_seventh_stale_epoch_and_keeps_best(self):
-        st_ = EarlyStopState(patience=7)
+        st_ = EarlyStopState(patience=7, threshold=1e-4)
         assert not early_stop(st_, 0.7, snapshot="best-model", epoch=1)
         outcomes = [early_stop(st_, 0.7 - 0.01 * k, snapshot=f"worse{k}", epoch=1 + k)
                     for k in range(1, 8)]
@@ -332,7 +331,7 @@ class TestEarlyStop:
         assert st_.best_epoch == 1
 
     def test_returns_best_snapshot_not_last(self):
-        st_ = EarlyStopState(patience=3)
+        st_ = EarlyStopState(patience=3, threshold=1e-4)
         early_stop(st_, 0.4, snapshot="a", epoch=1)
         early_stop(st_, 0.8, snapshot="b", epoch=2)
         early_stop(st_, 0.5, snapshot="c", epoch=3)

@@ -21,10 +21,11 @@ def splines_csv_oracle(dump):
         return str(value)
 
     lines = [",".join(["layer", "out_index", "in_index", "x", "phi"]) + "\n"]
-    for curve in dump.curves:
-        for x, phi in zip(curve.x, curve.phi):
-            row = [curve.layer, curve.out_index, curve.in_index, float(x), float(phi)]
-            lines.append(",".join(fmt(v) for v in row) + "\n")
+    for layer, (xs, phis) in enumerate(dump):
+        for out_index, in_index in np.ndindex(phis.shape[:2]):
+            for x, phi in zip(xs, phis[out_index, in_index]):
+                row = [layer, out_index, in_index, float(x), float(phi)]
+                lines.append(",".join(fmt(v) for v in row) + "\n")
     return "".join(lines)
 
 
@@ -37,8 +38,8 @@ class TestSplinesCsv:
     def test_matches_per_value_formatter(self):
         dump = make_dump()
         # values whose text is easy to get wrong: nan, infinities, -0, subnormals
-        dump.curves[0].phi[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
-        dump.curves[-1].phi[3] = -np.nan
+        dump[0][1][0, 0, :6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
+        dump[-1][1][-1, -1, 3] = -np.nan
         text = splines_csv_text(dump)
         assert text == splines_csv_oracle(dump)
         assert "\n0,0,0,-1,nan\n" in text

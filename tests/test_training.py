@@ -192,7 +192,7 @@ class TestMetricBundle:
         y = rng.integers(0, 3, size=60)
         probs = rng.random((60, 3))
         probs /= probs.sum(axis=1, keepdims=True)
-        bundle = compute_metric_bundle(y, probs, ("a", "b", "c"))
+        bundle = compute_metric_bundle(y, probs, ("a", "b", "c"), 10)
         assert isinstance(bundle.accuracy, float)
         assert isinstance(bundle.confusion[0][0], int)
         assert {row["name"] for row in bundle.per_class} == {"a", "b", "c"}
@@ -239,7 +239,7 @@ class TestExportRoundTrip:
         export(report, tmp_path, spline_dump=dump)
         lines = (tmp_path / "splines.csv").read_text().strip().splitlines()
         assert lines[0] == "layer,out_index,in_index,x,phi"
-        assert len(lines) == 1 + len(dump.curves) * 5
+        assert len(lines) == 1 + sum(phi[..., 0].size for _, phi in dump) * 5
 
     def test_unwritable_path_fails_without_partials(self, small_run, tmp_path):
         _, _, _, report, _ = small_run
