@@ -70,6 +70,7 @@ def _build_parser() -> _Parser:
     p_ingest = sub.add_parser("ingest", help="build and summarize the recording index")
     add_data_opts(p_ingest)
     p_ingest.add_argument("--out", help="write index.csv and rejects.csv here")
+    p_ingest.add_argument("--config", help="run configuration file")
 
     p_extract = sub.add_parser("extract", help="extract features into a cache file")
     add_data_opts(p_extract)
@@ -199,13 +200,14 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    result = ingest(args.data, args.diagnosis)
+    floor = _load_run_config(args).min_class_count
+    result = ingest(args.data, args.diagnosis, floor)
     hist = result.index.histogram()
     print(f"recordings: {len(result.index)}")
     for name in result.index.class_names:
         print(f"  {name:16s} {hist[name]}")
     if result.dropped_classes:
-        print(f"dropped (< 10 recordings): {result.dropped_classes}")
+        print(f"dropped (< {floor} recordings): {result.dropped_classes}")
     print(f"rejects: {len(result.rejects)}")
     if args.out:
         out = Path(args.out)

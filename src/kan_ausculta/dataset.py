@@ -91,7 +91,7 @@ def _parse_diagnosis_table(path: Path) -> dict:
     return mapping
 
 
-def ingest(audio_dir, diagnosis_table, min_class_count: int = 10) -> IngestResult:
+def ingest(audio_dir, diagnosis_table, min_class_count: int) -> IngestResult:
     """Build the dataset index; raises DataError on missing/empty inputs."""
     audio_dir = Path(audio_dir)
     table_path = Path(diagnosis_table)

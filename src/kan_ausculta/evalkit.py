@@ -18,7 +18,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 __all__ = [
     "FoldAssignment",
@@ -167,6 +166,24 @@ def classification_metrics(cm: ConfusionMatrix) -> ClassificationMetrics:
     )
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, each tie run given its average rank.
+
+    The values of ``scipy.stats.rankdata(values)``: a tie run holding sorted
+    positions ``start .. end - 1`` gets ``(start + end + 1) / 2``, an integer
+    or a half, so the result is exact. A NaN makes every rank NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(len(values), np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc_ovr(y_true, probs):
     """Per-class one-vs-rest AUC via midranks, plus the macro average.
 
@@ -185,7 +202,7 @@ def roc_auc_ovr(y_true, probs):
         n_neg = n - n_pos
         if n_pos == 0 or n_neg == 0:
             continue
-        ranks = scipy.stats.rankdata(probs[:, c])  # midranks for ties
+        ranks = _midranks(probs[:, c])
         auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         per_class[c] = float(auc)
         defined.append(auc)

@@ -17,7 +17,8 @@ mel filterbank is. Preprocessing reuses its filter designs as well: the
 band-pass sections are cached by the band-pass config, and the polyphase
 low-pass of ``resample`` by the larger term of the reduced ratio, one
 design per source rate of a corpus (``imbalance.pitch_shift`` resamples
-without this cache).
+without this cache). scipy is imported inside the functions that call it,
+so importing this module, and the CLI, does not load it.
 
 ``extract`` is two steps. ``streams`` computes one magnitude STFT and
 derives every per-frame stream from it, returned by name in the order of
@@ -42,9 +43,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-import scipy.fft
-import scipy.io.wavfile
-import scipy.signal
 
 from .atomic import atomic_write, read_npz
 from .errors import ContractViolation, DataError, FingerprintError
@@ -138,6 +136,8 @@ class FeatureLayout:
 
 def read_wav(path) -> AudioSignal:
     """Decode a PCM/float WAV to mono float samples in [-1, 1]."""
+    import scipy.io.wavfile
+
     try:
         rate, data = scipy.io.wavfile.read(path)
     except Exception as exc:
@@ -166,6 +166,8 @@ def _resample_lowpass(max_rate: int) -> np.ndarray:
     It depends only on ``max(up, down)`` of the reduced ratio: 20 * max_rate
     + 1 taps, cutoff 1 / max_rate of Nyquist.
     """
+    import scipy.signal
+
     taps = scipy.signal.firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
     taps.setflags(write=False)
     return taps
@@ -180,6 +182,8 @@ def resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
     ``imbalance.pitch_shift`` calls ``resample_poly`` itself, so its ratios
     neither fill the cache nor evict from it.
     """
+    import scipy.signal
+
     samples = np.asarray(samples, dtype=float)
     g = math.gcd(up, down)
     up, down = up // g, down // g
@@ -191,6 +195,8 @@ def resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _bandpass_sos(order: int, low: float, high: float, sample_rate: int) -> np.ndarray:
     """Read-only second-order sections of the Butterworth band-pass."""
+    import scipy.signal
+
     sos = scipy.signal.butter(order, [low, high], btype="bandpass", fs=sample_rate, output="sos")
     sos.setflags(write=False)
     return sos
@@ -198,6 +204,8 @@ def _bandpass_sos(order: int, low: float, high: float, sample_rate: int) -> np.n
 
 def preprocess(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()) -> AudioSignal:
     """Resample, band-pass (forward-backward, zero phase), peak-normalize."""
+    import scipy.signal
+
     samples = np.asarray(sig.samples, dtype=float)
     if samples.size == 0:
         raise DataError("empty signal")
@@ -270,6 +278,8 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
 
 def mfcc_from_mel(mel: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """(3 * n_mfcc, T): cepstra from log-mel plus delta and delta-delta rows."""
+    import scipy.fft
+
     log_mel = np.log(mel + 1e-10)
     cepstra = scipy.fft.dct(log_mel, type=2, axis=0, norm="ortho")[: cfg.n_mfcc]
     d1 = _delta(cepstra)

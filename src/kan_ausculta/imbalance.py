@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.signal
 
 from .dataset import DatasetIndex, IndexRow
 from .errors import ContractViolation
@@ -290,6 +289,8 @@ def pitch_shift(samples: np.ndarray, semitones: float) -> np.ndarray:
     no design exceeds 22,421 taps over +/-2 semitones or 39,981 over +/-12;
     shifts within about +/-0.01 semitones resample by 1/1.
     """
+    import scipy.signal
+
     n = len(samples)
     if semitones == 0.0 or n == 0:
         return samples.copy()

@@ -377,11 +377,12 @@ def test_criterion_11_optional_full_corpus():
     from kan_ausculta.dataset import ingest
     from kan_ausculta.training import AudioFeatureSource
 
+    cfg = load_config(preset="full")
     result = ingest(
         os.environ["KAN_AUSCULTA_ICBHI_DIR"],
         os.environ["KAN_AUSCULTA_ICBHI_DIAGNOSIS"],
+        cfg.min_class_count,
     )
-    cfg = load_config(preset="full")
     source = AudioFeatureSource(cfg.features)
     report, _ = run_cv(cfg, result.index, source)
     _report(

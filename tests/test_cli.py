@@ -37,17 +37,15 @@ def count_extractions(monkeypatch):
     return misses
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    """Ten short tonal recordings for each of three classes."""
-    root = tmp_path_factory.mktemp("cli-corpus")
+def write_corpus(root, counts):
+    """Short tonal recordings, ``counts[name]`` of them for one patient per class."""
     audio = root / "audio"
     audio.mkdir()
     rng = np.random.default_rng(0)
     table_lines = []
     pid = 200
     for name, base_freq in (("COPD", 250.0), ("Healthy", 600.0), ("Pneumonia", 1200.0)):
-        for k in range(10):
+        for k in range(counts[name]):
             t = np.arange(int(0.25 * SR)) / SR
             freq = base_freq * (1.0 + 0.05 * rng.normal())
             tone = 0.5 * np.sin(2 * np.pi * freq * t)
@@ -60,6 +58,13 @@ def corpus(tmp_path_factory):
     table = root / "diagnosis.txt"
     table.write_text("\n".join(table_lines) + "\n")
     return audio, table
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """Ten short tonal recordings for each of three classes."""
+    return write_corpus(tmp_path_factory.mktemp("cli-corpus"),
+                        {"COPD": 10, "Healthy": 10, "Pneumonia": 10})
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +134,23 @@ class TestIngestCommand:
         assert "recordings: 30" in out
         assert (tmp_path / "index.csv").read_text().count("\n") == 31
         assert (tmp_path / "rejects.csv").exists()
+
+    def test_config_floor_keeps_the_classes_extract_indexes(self, tmp_path, capsys):
+        audio, table = write_corpus(tmp_path, {"COPD": 4, "Healthy": 3, "Pneumonia": 2})
+        config = tmp_path / "floor.cfg"
+        config.write_text("data.min_class_count = 3\n")
+        data = ["--data", str(audio), "--diagnosis", str(table), "--config", str(config)]
+        assert main(["ingest", *data, "--out", str(tmp_path / "index")]) == 0
+        assert "dropped (< 3 recordings): {'Pneumonia': 2}" in capsys.readouterr().out
+        assert main(["extract", *data, "--out", str(tmp_path / "features.npz")]) == 0
+        from kan_ausculta.features import load_feature_cache
+
+        _, paths, _, labels = load_feature_cache(tmp_path / "features.npz")
+        lines = (tmp_path / "index" / "index.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
+        assert [row[0] for row in rows] == list(paths)
+        assert [row[2] for row in rows] == ["Healthy"] * 3 + ["COPD"] * 4
+        assert list(labels) == [0] * 3 + [1] * 4
 
     def test_missing_directory_exits_2(self, corpus, capsys):
         _, table = corpus

@@ -80,7 +80,7 @@ class TestIngest:
         table = tmp_path / "d.csv"
         table.write_text("1\tCOPD\n")
         with pytest.raises(DataError):
-            ingest(tmp_path / "nope", table)
+            ingest(tmp_path / "nope", table, min_class_count=10)
 
     def test_empty_directory_fatal(self, tmp_path):
         audio = tmp_path / "audio"
@@ -88,12 +88,12 @@ class TestIngest:
         table = tmp_path / "d.csv"
         table.write_text("1\tCOPD\n")
         with pytest.raises(DataError):
-            ingest(audio, table)
+            ingest(audio, table, min_class_count=10)
 
     def test_missing_table_fatal(self, corpus, tmp_path):
         audio, _ = corpus
         with pytest.raises(DataError):
-            ingest(audio, tmp_path / "missing.csv")
+            ingest(audio, tmp_path / "missing.csv", min_class_count=10)
 
     def test_labels_match_class_names(self, corpus):
         audio, table = corpus

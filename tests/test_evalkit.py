@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kan_ausculta.evalkit import (
+    _midranks,
     average_precision,
     calibration_bins,
     classification_metrics,
@@ -123,6 +124,41 @@ def brute_force_auc(y_true, scores, cls):
         return None
     wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
     return wins / (len(pos) * len(neg))
+
+
+class TestMidranks:
+    """``_midranks`` keeps the bytes of ``scipy.stats.rankdata``, so every AUC does."""
+
+    @staticmethod
+    def assert_same_bytes(values):
+        import scipy.stats
+
+        values = np.asarray(values, dtype=float)
+        ours, theirs = _midranks(values), scipy.stats.rankdata(values)
+        assert ours.dtype == theirs.dtype == np.float64
+        assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+    @pytest.mark.parametrize("values", [
+        [0.3, 0.1, 0.2, 0.9],
+        [0.5, 0.1, 0.5, 0.5, 0.1, 0.9, 0.5],
+        [0.0, -0.0, 1.0, 1.0],
+        [0.25] * 9,
+        [0.7],
+        [],
+        [0.2, np.nan, 0.1],
+    ], ids=["untied", "tied", "signed-zero", "all-equal", "single", "empty", "nan"])
+    def test_matches_rankdata(self, values):
+        self.assert_same_bytes(values)
+
+    def test_matches_rankdata_on_random_draws(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            n = int(rng.integers(1, 400))
+            if trial % 2:
+                values = rng.integers(0, int(rng.integers(1, 12)), size=n) / 8.0
+            else:
+                values = rng.random(n)
+            self.assert_same_bytes(values)
 
 
 class TestRocAuc:

@@ -322,8 +322,8 @@ class TestTransforms:
             calls.append((up, down, window))
             return x[: len(x) * up // down]
 
-        monkeypatch.setattr(features_module.scipy.signal, "resample_poly", fake_resample_poly)
-        monkeypatch.setattr(features_module.scipy.signal, "sosfiltfilt",
+        monkeypatch.setattr(scipy.signal, "resample_poly", fake_resample_poly)
+        monkeypatch.setattr(scipy.signal, "sosfiltfilt",
                             lambda sos, x, padlen: x)
         lowpass = features_module._resample_lowpass
         lowpass.cache_clear()
