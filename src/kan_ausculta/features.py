@@ -8,17 +8,27 @@ min, max, median, skewness, excess kurtosis) -> concatenate into one
 feature vector, imputing NaN/Inf as zero.
 
 STFT parameters are frame 2048 / hop 512 with a Hann window; frames are
-strided views of the signal, so the window multiply is the only copy.
+strided views of the signal. ``magnitude_spectrogram`` windows and
+transforms ``_STFT_BLOCK`` frames at a time into one preallocated (T, F)
+array, so the windowed frames and the complex spectrum exist only one
+cache-sized block at a time and its bytes do not depend on the block size.
 Standard deviation is the population (1/N) convention throughout. The
 "log-f" chroma variant folds a log-frequency (12 bins/octave) spectrogram
-rather than a true constant-Q transform. Both chroma variants are one
-matmul against a fold matrix cached per (n_chroma, frame, rate), as the
-mel filterbank is. Preprocessing reuses its filter designs as well: the
-band-pass sections are cached by the band-pass config, and the polyphase
-low-pass of ``resample`` by the larger term of the reduced ratio, one
-design per source rate of a corpus (``imbalance.pitch_shift`` resamples
-without this cache). scipy is imported inside the functions that call it,
-so importing this module, and the CLI, does not load it.
+rather than a true constant-Q transform. The mel filterbank and both chroma
+folds are stacked into one sparse (CSR) projection, and the power spectrum
+is squared and projected block by block through it. Spectral centroid and
+bandwidth come from the three magnitude moments sum(m), sum(f m) and
+sum(f^2 m) of one (T, F) @ (F, 3) product. The MFCCs are the first
+n_mfcc rows of the orthonormal DCT-II, as one matrix product.
+
+Cached, read-only and keyed by the config values they depend on: the
+sparse power projection (n_mels, n_chroma, frame, rate), the DCT matrix
+(n_mfcc, n_mels), the band-pass sections (the band-pass config) and the
+polyphase low-pass of ``resample`` (the larger term of the reduced ratio:
+one design per source rate of a corpus; ``imbalance.pitch_shift``
+resamples without this cache). scipy is imported inside the functions
+that call it (decoding, preprocessing and building the projection), so
+importing this module, and the CLI, does not load it.
 
 ``extract`` is two steps. ``streams`` computes one magnitude STFT and
 derives every per-frame stream from it, returned by name in the order of
@@ -135,7 +145,13 @@ class FeatureLayout:
 
 
 def read_wav(path) -> AudioSignal:
-    """Decode a PCM/float WAV to mono float samples in [-1, 1]."""
+    """Decode a PCM/float WAV to mono float samples in [-1, 1].
+
+    PCM channels are scaled by their dtype before they are averaged. Float
+    data holding a NaN or an infinite sample is refused: ``preprocess`` would
+    spread it over the whole signal and ``extract`` would impute the result to
+    an almost all-zero feature row.
+    """
     import scipy.io.wavfile
 
     try:
@@ -144,8 +160,6 @@ def read_wav(path) -> AudioSignal:
         raise DataError(f"unreadable audio file {path}: {exc}") from exc
     if data.size == 0:
         raise DataError(f"empty audio file {path}")
-    if data.ndim == 2:
-        data = data.mean(axis=1)
     if data.dtype == np.uint8:
         samples = (data.astype(float) - 128.0) / 128.0
     elif data.dtype == np.int16:
@@ -154,6 +168,10 @@ def read_wav(path) -> AudioSignal:
         samples = data.astype(float) / 2147483648.0
     else:
         samples = data.astype(float)
+        if not np.all(np.isfinite(samples)):
+            raise DataError(f"non-finite samples in audio file {path}")
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
     return AudioSignal(samples=samples, sample_rate=int(rate))
 
 
@@ -242,11 +260,25 @@ def _frame(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
     return sliding_window_view(samples, frame)[::hop]
 
 
+# frames per window multiply and rfft: a (32, 2048) float64 block is 512 KiB,
+# so the block and its spectrum stay in cache (8 to 128 give the same bytes)
+_STFT_BLOCK = 32
+
+
 def magnitude_spectrogram(sig: AudioSignal, cfg: FeatureConfig) -> np.ndarray:
-    """(n_fft/2 + 1, T) Hann-windowed magnitude STFT."""
+    """(n_fft/2 + 1, T) Hann-windowed magnitude STFT.
+
+    Frames are windowed and transformed ``_STFT_BLOCK`` at a time into one
+    (T, n_fft/2 + 1) array, returned transposed, so no full-size windowed or
+    complex copy is made.
+    """
     frames = _frame(np.asarray(sig.samples, dtype=float), cfg.frame_length, cfg.hop_length)
     window = np.hanning(cfg.frame_length)
-    return np.abs(np.fft.rfft(frames * window, axis=1)).T
+    mag = np.empty((len(frames), cfg.frame_length // 2 + 1))
+    for start in range(0, len(frames), _STFT_BLOCK):
+        stop = start + _STFT_BLOCK
+        np.abs(np.fft.rfft(frames[start:stop] * window, axis=1), out=mag[start:stop])
+    return mag.T
 
 
 def _fft_freqs(cfg: FeatureConfig) -> np.ndarray:
@@ -261,7 +293,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=float) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=8)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """(n_mels, n_fft/2 + 1) triangular filters spanning 0..sample_rate/2."""
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
@@ -276,12 +307,21 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return np.maximum(0.0, np.minimum(lower, upper))
 
 
+@functools.lru_cache(maxsize=8)
+def _dct_matrix(n_mfcc: int, n_mels: int) -> np.ndarray:
+    """Read-only (n_mfcc, n_mels) first rows of the orthonormal DCT-II."""
+    k = np.arange(n_mfcc)[:, None]
+    n = np.arange(n_mels)[None, :]
+    dct = np.sqrt(2.0 / n_mels) * np.cos(np.pi * k * (2 * n + 1) / (2 * n_mels))
+    dct[0] /= np.sqrt(2.0)
+    dct.setflags(write=False)
+    return dct
+
+
 def mfcc_from_mel(mel: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """(3 * n_mfcc, T): cepstra from log-mel plus delta and delta-delta rows."""
-    import scipy.fft
-
     log_mel = np.log(mel + 1e-10)
-    cepstra = scipy.fft.dct(log_mel, type=2, axis=0, norm="ortho")[: cfg.n_mfcc]
+    cepstra = _dct_matrix(cfg.n_mfcc, mel.shape[0]) @ log_mel
     d1 = _delta(cepstra)
     d2 = _delta(d1)
     return np.vstack([cepstra, d1, d2])
@@ -309,9 +349,8 @@ def _pitch_classes(freqs: np.ndarray) -> np.ndarray:
     return (np.round(midi).astype(int)) % 12
 
 
-@functools.lru_cache(maxsize=8)
 def _chroma_folds(n_chroma: int, frame_length: int, sample_rate: int):
-    """Two read-only (n_chroma, n_fft/2 + 1) fold matrices: STFT and log-frequency.
+    """Two (n_chroma, n_fft/2 + 1) fold matrices: STFT and log-frequency.
 
     Row c of a fold sums the STFT bins that land in pitch class c; a bin
     inside two log-frequency bands of the same class counts twice.
@@ -330,35 +369,62 @@ def _chroma_folds(n_chroma: int, frame_length: int, sample_rate: int):
     for b, fc in enumerate(centers):
         lo, hi = fc / half_step, fc * half_step
         logf_fold[b % 12] += (freqs >= lo) & (freqs < hi)
-
-    for fold in (stft_fold, logf_fold):
-        fold.setflags(write=False)
     return stft_fold, logf_fold
 
 
-def _chroma_from_power(power: np.ndarray, cfg: FeatureConfig):
-    folds = _chroma_folds(cfg.n_chroma, cfg.frame_length, cfg.sample_rate)
-    chroma_stft, chroma_logf = (fold @ power for fold in folds)
+@functools.lru_cache(maxsize=8)
+def _power_projection(n_mels: int, n_chroma: int, frame_length: int, sample_rate: int):
+    """Read-only CSR (n_mels + 2 * n_chroma, n_fft/2 + 1): mel filterbank over both folds.
+
+    One product with a power spectrum gives the mel bands, then the STFT and
+    the log-frequency chroma. For the defaults it holds 3,799 nonzeros out
+    of 152 x 1025.
+    """
+    import scipy.sparse
+
+    dense = np.vstack([
+        mel_filterbank(n_mels, frame_length, sample_rate),
+        *_chroma_folds(n_chroma, frame_length, sample_rate),
+    ])
+    projection = scipy.sparse.csr_array(dense)
+    for part in (projection.data, projection.indices, projection.indptr):
+        part.setflags(write=False)
+    return projection
+
+
+def _project_power(spec: np.ndarray, cfg: FeatureConfig):
+    """Mel power and the two peak-normalised chroma variants of a (T, F) magnitude.
+
+    The power is squared and projected ``_STFT_BLOCK`` frames at a time, so
+    no full-size power array is made. Returns (n_mels, T), (n_chroma, T) and
+    (n_chroma, T) row blocks of one array.
+    """
+    projection = _power_projection(cfg.n_mels, cfg.n_chroma, cfg.frame_length, cfg.sample_rate)
+    projected = np.empty((projection.shape[0], spec.shape[0]))
+    for start in range(0, spec.shape[0], _STFT_BLOCK):
+        block = spec[start : start + _STFT_BLOCK]
+        projected[:, start : start + _STFT_BLOCK] = projection @ (block * block).T
+    mel, chroma_stft, chroma_logf = np.split(projected, [cfg.n_mels, cfg.n_mels + cfg.n_chroma])
     for chroma in (chroma_stft, chroma_logf):
         peaks = chroma.max(axis=0)
         nonzero = peaks > 0
         chroma[:, nonzero] /= peaks[nonzero]
-    return chroma_stft, chroma_logf
+    return mel, chroma_stft, chroma_logf
 
 
-def _spectral_from_mag(mag: np.ndarray, cfg: FeatureConfig):
+def _centroid_bandwidth(spec: np.ndarray, cfg: FeatureConfig):
+    """Magnitude-weighted mean frequency and spread of each frame of a (T, F) magnitude.
+
+    Both come from the moments m0 = sum(m), m1 = sum(f m) and m2 = sum(f^2 m)
+    of one (T, F) @ (F, 3) product: centroid m1 / m0 and bandwidth
+    sqrt(m2 / m0 - centroid^2), clipped at 0 against cancellation. A silent
+    frame (m0 = 0) has both at 0.
+    """
     freqs = _fft_freqs(cfg)
-    total = mag.sum(axis=0)
-    voiced = total > 0
-    centroid = np.zeros(mag.shape[1])
-    bandwidth = np.zeros(mag.shape[1])
-    if voiced.any():
-        mag = mag[:, voiced]
-        centroid[voiced] = (freqs @ mag) / total[voiced]
-        spread = np.subtract.outer(freqs, centroid[voiced])
-        spread *= spread
-        spread *= mag
-        bandwidth[voiced] = np.sqrt(spread.sum(axis=0) / total[voiced])
+    m0, m1, m2 = (spec @ np.stack([np.ones_like(freqs), freqs, freqs * freqs], axis=1)).T
+    safe_m0 = np.where(m0 > 0, m0, 1.0)
+    centroid = m1 / safe_m0
+    bandwidth = np.sqrt(np.maximum(m2 / safe_m0 - centroid * centroid, 0.0))
     return centroid, bandwidth
 
 
@@ -391,11 +457,9 @@ def streams(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()):
     over bands; onsets are local envelope maxima (within +/- 3 frames)
     exceeding mean + 1 std, and the rate is onsets per second.
     """
-    mag = magnitude_spectrogram(sig, cfg)
-    power = mag * mag
-    mel = mel_filterbank(cfg.n_mels, cfg.frame_length, cfg.sample_rate) @ power
-    chroma_stft, chroma_logf = _chroma_from_power(power, cfg)
-    centroid, bandwidth = _spectral_from_mag(mag, cfg)
+    spec = magnitude_spectrogram(sig, cfg).T  # (T, F), C-contiguous
+    mel, chroma_stft, chroma_logf = _project_power(spec, cfg)
+    centroid, bandwidth = _centroid_bandwidth(spec, cfg)
     envelope, n_onsets, onset_rate = _onset_from_mel(mel, sig.duration)
     frames = {
         "mel": mel,

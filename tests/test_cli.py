@@ -207,6 +207,18 @@ class TestExtractCommand:
         assert code == 0
         assert count_extractions == []  # every base row came from the cache
 
+    def test_non_finite_recording_exits_2_naming_it(self, tmp_path, capsys):
+        audio, table = write_corpus(tmp_path, {"COPD": 10, "Healthy": 10, "Pneumonia": 10})
+        bad = audio / "201_r3_chest.wav"
+        rate, samples = scipy.io.wavfile.read(bad)
+        samples[100] = np.nan
+        scipy.io.wavfile.write(bad, rate, samples)
+        code = main(["extract", "--data", str(audio), "--diagnosis", str(table),
+                     "--out", str(tmp_path / "features.npz")])
+        assert code == 2
+        assert f"non-finite samples in audio file {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "features.npz").exists()
+
     def test_truncated_cache_exits_2(self, corpus, config_file, tmp_path, capsys):
         audio, table = corpus
         cache = tmp_path / "features.npz"

@@ -1,8 +1,10 @@
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.io.wavfile
 import scipy.signal
 from hypothesis import given, settings
@@ -15,18 +17,23 @@ from kan_ausculta.features import (
     AudioSignal,
     FeatureConfig,
     _bandpass_sos,
-    _stream_labels,
-    _chroma_from_power,
+    _STFT_BLOCK,
+    _chroma_folds,
+    _delta,
     _fft_freqs,
     _frame,
     _onset_from_mel,
     _pitch_classes,
+    _project_power,
     _resample_lowpass,
+    _stream_labels,
     aggregate,
     default_layout,
     extract,
     hz_to_mel,
     load_feature_cache,
+    magnitude_spectrogram,
+    mel_filterbank,
     mel_to_hz,
     mfcc_from_mel,
     preprocess,
@@ -104,6 +111,48 @@ def chroma_oracle(power, cfg):
         nonzero = peaks > 0
         chroma[:, nonzero] /= peaks[nonzero]
     return chroma_stft, chroma_logf
+
+
+def streams_oracle(sig, cfg):
+    """``streams`` as one full-size pass: a one-shot STFT, dense mel and chroma
+    products, the outer-product bandwidth and the full DCT cut to n_mfcc rows."""
+    frames = _frame(np.asarray(sig.samples, dtype=float), cfg.frame_length, cfg.hop_length)
+    mag = np.abs(np.fft.rfft(frames * np.hanning(cfg.frame_length), axis=1)).T
+    power = mag * mag
+    mel = mel_filterbank(cfg.n_mels, cfg.frame_length, cfg.sample_rate) @ power
+
+    chroma_stft, chroma_logf = (fold @ power for fold in
+                                _chroma_folds(cfg.n_chroma, cfg.frame_length, cfg.sample_rate))
+    for chroma in (chroma_stft, chroma_logf):
+        peaks = chroma.max(axis=0)
+        nonzero = peaks > 0
+        chroma[:, nonzero] /= peaks[nonzero]
+
+    freqs = _fft_freqs(cfg)
+    total = mag.sum(axis=0)
+    voiced = total > 0
+    centroid = np.zeros(mag.shape[1])
+    bandwidth = np.zeros(mag.shape[1])
+    if voiced.any():
+        centroid[voiced] = (freqs @ mag[:, voiced]) / total[voiced]
+        spread = np.subtract.outer(freqs, centroid[voiced]) ** 2 * mag[:, voiced]
+        bandwidth[voiced] = np.sqrt(spread.sum(axis=0) / total[voiced])
+
+    cepstra = scipy.fft.dct(np.log(mel + 1e-10), type=2, axis=0, norm="ortho")[: cfg.n_mfcc]
+    d1 = _delta(cepstra)
+    envelope, n_onsets, onset_rate = _onset_from_mel(mel, sig.duration)
+    out = {
+        "mel": mel,
+        "mfcc": np.vstack([cepstra, d1, _delta(d1)]),
+        "chroma_stft": chroma_stft,
+        "chroma_logf": chroma_logf,
+        "centroid": centroid,
+        "bandwidth": bandwidth,
+        "onset_envelope": envelope,
+    }
+    if cfg.subbands:
+        out["mel_subband"] = np.vstack([g.mean(axis=0) for g in np.array_split(mel, 4, axis=0)])
+    return out, n_onsets, onset_rate
 
 
 def onset_count_oracle(flux):
@@ -301,13 +350,86 @@ class TestChroma:
     )
     def test_fold_matrices_match_loop_oracle(self, cfg):
         rng = np.random.default_rng(cfg.frame_length)
-        power = rng.random((cfg.frame_length // 2 + 1, 40)) ** 4
-        power[:, 5] = 0.0  # a silent frame keeps its zero column
-        stft, logf = _chroma_from_power(power, cfg)
+        # (T, F) magnitude over more than one block of frames
+        mag = rng.random((_STFT_BLOCK + 8, cfg.frame_length // 2 + 1)) ** 2
+        mag[5] = 0.0  # a silent frame keeps its zero column
+        power = (mag * mag).T
+        _, stft, logf = _project_power(mag, cfg)
         ref_stft, ref_logf = chroma_oracle(power, cfg)
         np.testing.assert_allclose(stft, ref_stft, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(logf, ref_logf, rtol=1e-12, atol=1e-12)
         assert np.all(stft[:, 5] == 0) and np.all(logf[:, 5] == 0)
+
+
+def _oracle_signals(sr):
+    """Noise, a low and a high tone, and noise with exactly silent half seconds."""
+    rng = np.random.default_rng(sr)
+    t = np.arange(3 * sr) / sr
+    return {
+        "noise": rng.normal(size=t.size),
+        "tone150": np.sin(2 * np.pi * 150 * t),
+        "tone1900": np.sin(2 * np.pi * 1900 * t),
+        "gaps": np.where(t % 1.0 < 0.5, rng.normal(size=t.size), 0.0),
+    }
+
+
+class TestBlockedStreams:
+    @pytest.mark.parametrize("n_frames", [1, _STFT_BLOCK - 1, _STFT_BLOCK, _STFT_BLOCK + 1, 858])
+    def test_spectrogram_bytes_match_one_shot_stft(self, n_frames):
+        # one frame comes from a signal shorter than a frame, zero-padded
+        n = 1000 if n_frames == 1 else CFG.frame_length + (n_frames - 1) * CFG.hop_length
+        sig = AudioSignal(np.random.default_rng(n).normal(size=n), SR)
+        frames = _frame(sig.samples, CFG.frame_length, CFG.hop_length)
+        assert len(frames) == n_frames
+        expected = np.abs(np.fft.rfft(frames * np.hanning(CFG.frame_length), axis=1)).T
+        np.testing.assert_array_equal(magnitude_spectrogram(sig, CFG), expected)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [CFG, FeatureConfig(subbands=True), FeatureConfig(frame_length=1024, hop_length=256),
+         FeatureConfig(sample_rate=8000, frame_length=512, hop_length=128)],
+    )
+    @pytest.mark.parametrize("kind", ["noise", "tone150", "tone1900", "gaps"])
+    def test_every_stream_matches_the_full_size_oracle(self, cfg, kind):
+        sig = AudioSignal(_oracle_signals(cfg.sample_rate)[kind], cfg.sample_rate)
+        got, n_onsets, onset_rate = streams(sig, cfg)
+        ref, ref_onsets, ref_rate = streams_oracle(sig, cfg)
+        assert list(got) == list(ref)
+        assert (n_onsets, onset_rate) == (ref_onsets, ref_rate)
+        # float reordering moves a value by about 1e-16 of the scale its sums run
+        # at: the stream's largest value, except where they cancel. The bandwidth
+        # subtracts squared frequencies (scale: Nyquist) and the onset envelope
+        # subtracts mel frames (scale: the largest mel frame sum).
+        scales = {name: np.abs(rows).max() for name, rows in ref.items()}
+        scales["bandwidth"] = cfg.sample_rate / 2
+        scales["onset_envelope"] = ref["mel"].sum(axis=0).max()
+        for name, rows in ref.items():
+            np.testing.assert_allclose(got[name], rows, rtol=1e-9, atol=1e-12 * scales[name],
+                                       err_msg=name)
+        if kind == "gaps":  # silent frames: centroid and bandwidth 0 in both
+            silent = ref["centroid"] == 0
+            assert silent.any()
+            assert np.all(got["centroid"][silent] == 0) and np.all(got["bandwidth"][silent] == 0)
+
+    def test_mfcc_matches_the_cut_full_dct(self):
+        mel = np.random.default_rng(2).random((CFG.n_mels, 50)) * 10.0
+        cepstra = mfcc_from_mel(mel, CFG)[: CFG.n_mfcc]
+        expected = scipy.fft.dct(np.log(mel + 1e-10), type=2, axis=0, norm="ortho")[: CFG.n_mfcc]
+        np.testing.assert_allclose(cepstra, expected, rtol=1e-12, atol=1e-12)
+
+    def test_extract_peak_memory_stays_below_two_magnitudes(self):
+        sig = AudioSignal(np.random.default_rng(60).normal(size=60 * SR), SR)
+        layout = default_layout(CFG)
+        extract(AudioSignal(sig.samples[: 2 * SR], SR), layout)  # build the cached matrices
+        n_frames = 1 + (len(sig.samples) - CFG.frame_length) // CFG.hop_length
+        magnitude_bytes = n_frames * (CFG.frame_length // 2 + 1) * 8
+        tracemalloc.start()
+        try:
+            extract(sig, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * magnitude_bytes
 
 
 class TestSpectral:
@@ -558,6 +680,26 @@ class TestWavIO:
         scipy.io.wavfile.write(path, SR, np.stack([left, right], axis=1))
         sig = read_wav(path)
         np.testing.assert_allclose(sig.samples, left / 2, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype,offset,scale,atol", [(np.int16, 0, 32767, 1e-4),
+                                                         (np.uint8, 128, 127, 2e-2)])
+    def test_pcm_stereo_is_scaled_before_averaging(self, tmp_path, dtype, offset, scale, atol):
+        wave = 0.5 * np.sin(2 * np.pi * 200 * np.arange(SR) / SR)
+        left = (wave * scale + offset).astype(dtype)
+        right = np.full_like(left, offset)  # digital silence
+        path = tmp_path / f"stereo_{np.dtype(dtype).name}.wav"
+        scipy.io.wavfile.write(path, SR, np.stack([left, right], axis=1))
+        np.testing.assert_allclose(read_wav(path).samples, wave / 2, atol=atol)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_non_finite_float_sample_is_a_data_error(self, tmp_path, bad, channels):
+        samples = np.zeros((1000, channels), dtype=np.float32)
+        samples[500, channels - 1] = bad
+        path = tmp_path / "bad.wav"
+        scipy.io.wavfile.write(path, SR, samples.squeeze())
+        with pytest.raises(DataError, match=f"non-finite samples in audio file {path}"):
+            read_wav(path)
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "junk.wav"
