@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["atomic_write", "read_npz"]
+__all__ = ["atomic_write", "read_npz", "write_text"]
 
 
 @contextlib.contextmanager
@@ -31,6 +31,12 @@ def atomic_write(path):
     except BaseException:
         staged.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text``; a failed write or rename keeps the previous file."""
+    with atomic_write(path) as staged, open(staged, "w") as fh:
+        fh.write(text)
 
 
 @contextlib.contextmanager

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_write
+from .atomic import write_text
 from .config import PRESETS, load_config
 from .dataset import ingest
 from .errors import ContractViolation, DataError, TrainingAbort
@@ -40,7 +40,7 @@ from .features import (
 from .kan import export_splines
 from .model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .optim import FocalParams, finite_diff_check
-from .report import export, write_splines_csv
+from .report import export, splines_csv_text
 from .training import AudioFeatureSource, run_cv
 
 log = logging.getLogger(__name__)
@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
     add_data_opts(p_extract)
     p_extract.add_argument("--out", help="cache file path (default: env or ./features.npz)")
     p_extract.add_argument("--config", help="run configuration file")
-    p_extract.add_argument("--jobs", type=int, default=1, help="parallel extraction workers")
+    p_extract.add_argument("--jobs", type=int, help="parallel extraction workers")
 
     p_train = sub.add_parser("train", help="cross-validated training")
     add_data_opts(p_train)
@@ -193,12 +193,6 @@ def _train_once(cfg, index, source, out_dir: Path):
 # subcommands
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text``; a failed write keeps the previous file."""
-    with atomic_write(path) as staged, open(staged, "w") as fh:
-        fh.write(text)
-
-
 def _cmd_ingest(args) -> int:
     floor = _load_run_config(args).min_class_count
     result = ingest(args.data, args.diagnosis, floor)
@@ -215,8 +209,8 @@ def _cmd_ingest(args) -> int:
         lines = ["path,patient_id,class\n"]
         for row in result.index.rows:
             lines.append(f"{row.path},{row.patient_id},{result.index.class_names[row.label]}\n")
-        _write_text(out / "index.csv", "".join(lines))
-        _write_text(
+        write_text(out / "index.csv", "".join(lines))
+        write_text(
             out / "rejects.csv",
             "path,reason\n" + "".join(f"{p},{r}\n" for p, r in result.rejects),
         )
@@ -229,8 +223,8 @@ def _cmd_extract(args) -> int:
     result = ingest(args.data, args.diagnosis, cfg.min_class_count)
     layout = default_layout(cfg.features)
     paths = [row.path for row in result.index.rows]
-    log.info("extracting %d recordings with %d worker(s)", len(paths), max(1, cfg.jobs))
-    matrix = _extract_all(paths, cfg.features, max(1, cfg.jobs))
+    log.info("extracting %d recordings with %d worker(s)", len(paths), cfg.jobs)
+    matrix = _extract_all(paths, cfg.features, cfg.jobs)
     cache_file = _cache_path(args.out)
     cache_file.parent.mkdir(parents=True, exist_ok=True)
     save_feature_cache(
@@ -282,7 +276,7 @@ def _cmd_ablate(args) -> int:
         values = ",".join(f"{pcf1[n]:.17g}" for n in class_names)
         lines.append(f"{preset},{acc:.17g},{mf1:.17g},{values}\n")
     out_root.mkdir(parents=True, exist_ok=True)
-    _write_text(out_root / "summary.csv", "".join(lines))
+    write_text(out_root / "summary.csv", "".join(lines))
     print(f"wrote {out_root / 'summary.csv'}")
     return 0
 
@@ -292,7 +286,7 @@ def _cmd_export_splines(args) -> int:
     splines = export_splines(model.kan, args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_splines_csv(splines, out / "splines.csv")
+    write_text(out / "splines.csv", splines_csv_text(splines))
     curves = sum(phi.shape[0] * phi.shape[1] for _, phi in splines)
     print(f"wrote {curves} curves to {out / 'splines.csv'}")
     return 0

@@ -76,6 +76,8 @@ class RunConfig:
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.min_class_count < 1:
             raise ValueError("min_class_count must be >= 1: a kept class needs recordings")
         if self.sched.min_lr > self.optim.lr_stage2:

@@ -1,9 +1,11 @@
 """Report serialization: JSON + CSV artifacts with atomic writes.
 
-All floating values are serialized with 17 significant digits, which
-round-trips float64 exactly: ``load_report(export(report))`` compares
-equal to the original. Files are staged and renamed so a failed export
-never leaves partial artifacts in the output directory.
+``report.json`` is the standard library's JSON of ``RunReport.to_dict()``:
+floats keep their shortest round-trip text, so ``load_report`` of an
+exported report compares equal to the original, with every float still a
+float. The CSVs write floats with 17 significant digits, which also
+round-trips float64 exactly. Files are staged and renamed so a failed
+export never leaves partial artifacts in the output directory.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ import os
 import tempfile
 from pathlib import Path
 
-from .atomic import atomic_write
 from .errors import DataError
-from .training import RunReport
+from .training import REPORT_VERSION, RunReport
 
-__all__ = ["export", "load_report", "write_splines_csv"]
+__all__ = ["export", "load_report", "splines_csv_text"]
 
 
 def _fmt(value: float) -> str:
@@ -27,34 +28,6 @@ def _fmt(value: float) -> str:
             return "nan"
         return f"{value:.17g}"
     return str(value)
-
-
-def _to_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join("  " * (indent + 1) + _to_json(v, indent + 1) for v in value)
-        return f"[\n{inner}\n{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            "  " * (indent + 1) + f"{json.dumps(str(k))}: {_to_json(v, indent + 1)}"
-            for k, v in value.items()
-        )
-        return f"{{\n{inner}\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
 def _csv_line(values) -> str:
@@ -121,13 +94,6 @@ def splines_csv_text(splines) -> str:
     return "".join(lines)
 
 
-def write_splines_csv(splines, path) -> None:
-    """Write splines.csv atomically: staged next to ``path``, then renamed."""
-    text = splines_csv_text(splines)
-    with atomic_write(path) as staged, open(staged, "w") as fh:
-        fh.write(text)
-
-
 def export(report: RunReport, out_dir, spline_dump: list | None = None) -> list:
     """Write report.json plus the CSV views (splines.csv from ``spline_dump``).
 
@@ -143,7 +109,7 @@ def export(report: RunReport, out_dir, spline_dump: list | None = None) -> list:
         raise DataError(f"cannot write to {out_dir}: {exc}") from exc
 
     files = {
-        "report.json": _to_json(report.to_dict()) + "\n",
+        "report.json": json.dumps(report.to_dict(), indent=2) + "\n",
         "confusion.csv": _confusion_csv(report),
         "per_class.csv": _per_class_csv(report),
         "folds.csv": _folds_csv(report),
@@ -169,8 +135,17 @@ def export(report: RunReport, out_dir, spline_dump: list | None = None) -> list:
 
 
 def load_report(path) -> RunReport:
+    """Read ``report.json`` back into the ``RunReport`` that ``export`` wrote.
+
+    JSON that is not an object, a version other than ``REPORT_VERSION`` and
+    a missing or unknown key raise ``DataError``, as an unreadable file does.
+    """
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        if data.get("version") != REPORT_VERSION:
+            raise ValueError(f"version {data.get('version')!r}, expected {REPORT_VERSION}")
+        return RunReport.from_dict(data)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load report {path}: {exc}") from exc
-    return RunReport.from_dict(data)

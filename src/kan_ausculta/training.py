@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -191,13 +191,6 @@ class MetricBundle:
     auc_macro: float | None
     calibration: dict  # bin_confidence, bin_accuracy, bin_count, ece
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricBundle":
-        return cls(**data)
-
 
 @dataclass
 class FoldReport:
@@ -209,17 +202,6 @@ class FoldReport:
     accuracy: float
     history: list  # dicts: epoch, train_loss, val_macro_f1, lr
     metrics: MetricBundle
-
-    def to_dict(self) -> dict:
-        data = dict(self.__dict__)
-        data["metrics"] = self.metrics.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FoldReport":
-        data = dict(data)
-        data["metrics"] = MetricBundle.from_dict(data["metrics"])
-        return cls(**data)
 
 
 @dataclass
@@ -236,31 +218,17 @@ class RunReport:
     summary: dict  # fold-level mean/std rows
     pooled: MetricBundle
     best_fold: int
-    spline_dump: str = "splines.csv"  # artifact holding the best fold's edge curves
+    spline_dump: str  # artifact holding the best fold's edge curves
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "seed": self.seed,
-            "class_names": self.class_names,
-            "d_feat": self.d_feat,
-            "fingerprint": self.fingerprint,
-            "fold_sizes": self.fold_sizes,
-            "folds": [f.to_dict() for f in self.folds],
-            "incomplete": self.incomplete,
-            "summary": self.summary,
-            "pooled": self.pooled.to_dict(),
-            "best_fold": self.best_fold,
-            "spline_dump": self.spline_dump,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
-        data = dict(data)
-        data["folds"] = [FoldReport.from_dict(f) for f in data["folds"]]
-        data["pooled"] = MetricBundle.from_dict(data["pooled"])
-        return cls(**data)
+        """Rebuild ``to_dict``'s output; a missing or unknown key raises KeyError or TypeError."""
+        folds = [FoldReport(**{**f, "metrics": MetricBundle(**f["metrics"])})
+                 for f in data["folds"]]
+        return cls(**{**data, "folds": folds, "pooled": MetricBundle(**data["pooled"])})
 
 
 @dataclass
@@ -522,5 +490,6 @@ def run_cv(cfg: RunConfig, index: DatasetIndex, source=None):
         summary=summary,
         pooled=pooled,
         best_fold=fold_reports[best_fold].fold,
+        spline_dump="splines.csv",
     )
     return report, artifacts

@@ -110,7 +110,7 @@ def failing_csv_write(monkeypatch):
                     self.fh.write(data[: len(data) // 2])
                     raise OSError("no space left on device")
 
-            monkeypatch.setattr(cli_module, "open", HalfWritten, raising=False)
+            monkeypatch.setattr(atomic_module, "open", HalfWritten, raising=False)
         else:
             real_replace = os.replace
 
@@ -345,6 +345,25 @@ class TestExtractParallel:
         assert paths_a == paths_b
         np.testing.assert_array_equal(matrix_a, matrix_b)
 
+    @pytest.mark.parametrize("flag, expected", [([], 2), (["--jobs", "1"], 1)])
+    def test_config_jobs_reach_extraction(self, corpus, tmp_path, monkeypatch, flag, expected,
+                                          capsys):
+        audio, table = corpus
+        config = tmp_path / "jobs.cfg"
+        config.write_text("jobs = 2\n")
+        seen = []
+        real = cli_module._extract_all
+
+        def serial(paths, feature_config, jobs):  # records the pool size, starts no pool
+            seen.append(jobs)
+            return real(paths, feature_config, 1)
+
+        monkeypatch.setattr(cli_module, "_extract_all", serial)
+        assert main(["extract", "--data", str(audio), "--diagnosis", str(table),
+                     "--config", str(config), "--out", str(tmp_path / "features.npz"),
+                     *flag]) == 0
+        assert seen == [expected]
+
 
 class TestAblateCommand:
     def test_runs_all_presets_with_cache(self, corpus, config_file, tmp_path, capsys):
@@ -420,6 +439,18 @@ class TestConfigErrors:
         code = main(["train", "--data", str(audio), "--diagnosis", str(table),
                      "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_bad_jobs_exits_1_before_extract(self, tmp_path, capsys, source):
+        (tmp_path / "bad.cfg").write_text("jobs = -3\n")
+        setting = {"config": ["--config", str(tmp_path / "bad.cfg")], "flag": ["--jobs", "0"]}
+        # no data directory: reaching ingest would exit 2
+        code = main(["extract", "--data", str(tmp_path / "absent"),
+                     "--diagnosis", str(tmp_path / "absent.txt"), *setting[source],
+                     "--out", str(tmp_path / "features.npz")])
+        assert code == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "features.npz").exists()
 
     @pytest.mark.parametrize("key, value", BAD_SETTINGS)
     def test_bad_setting_exits_1_before_ingest(self, tmp_path, capsys, key, value):

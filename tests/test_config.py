@@ -36,6 +36,8 @@ BAD_SETTINGS = [
     ("data.min_class_count", "0"),
     ("eval.calibration_bins", "0"),
     ("eval.spline_samples", "1"),
+    ("jobs", "0"),
+    ("jobs", "-3"),
     ("features.frame_length", "0"),
     ("features.hop_length", "0"),
 ]
