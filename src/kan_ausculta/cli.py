@@ -18,7 +18,7 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -119,20 +119,49 @@ def _cache_path(explicit) -> Path:
     return Path(env) if env else Path("features.npz")
 
 
+def _load(path, cfg: FeatureConfig):
+    return preprocess(read_wav(path), cfg)
+
+
 def _extract_one(args):
     path, cfg_dict = args
     cfg = FeatureConfig(**cfg_dict)
+    return extract(_load(path, cfg), default_layout(cfg))
+
+
+def _extract_pipelined(paths, cfg: FeatureConfig) -> list:
+    """``_extract_one`` of each path, in order, decoding one recording ahead.
+
+    A helper thread decodes and filters recording i + 1 while this thread
+    extracts recording i (scipy's filters, numpy's FFT and the sparse
+    product release the GIL), so at most two recordings are in flight. The
+    first error in list order propagates, as in a serial loop: a failed
+    load surfaces only once every earlier row is extracted, and a failed
+    extract wins over the load running beside it. The helper is joined
+    before this returns or raises.
+    """
     layout = default_layout(cfg)
-    return extract(preprocess(read_wav(path), cfg), layout)
+    rows = []
+    if not paths:
+        return rows
+    with ThreadPoolExecutor(max_workers=1) as loader:
+        ahead = loader.submit(_load, paths[0], cfg)
+        for following in [*paths[1:], None]:
+            signal = ahead.result()
+            if following is not None:
+                ahead = loader.submit(_load, following, cfg)
+            rows.append(extract(signal, layout))
+            del signal  # only the recording ahead stays alive while it loads
+    return rows
 
 
 def _extract_all(paths, feature_config: FeatureConfig, jobs: int) -> np.ndarray:
-    work = [(p, feature_config.__dict__) for p in paths]
     if jobs > 1:
+        work = [(p, feature_config.__dict__) for p in paths]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_extract_one, work))  # map preserves input order
     else:
-        rows = [_extract_one(w) for w in work]
+        rows = _extract_pipelined(paths, feature_config)
     return np.stack(rows)
 
 

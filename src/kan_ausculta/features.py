@@ -7,6 +7,12 @@ streams -> summarize each stream row with seven statistics (mean, std,
 min, max, median, skewness, excess kurtosis) -> concatenate into one
 feature vector, imputing NaN/Inf as zero.
 
+``preprocess`` drops its input signal once it has resampled it. The
+zero-phase band-pass is ``scipy.signal.sosfiltfilt`` bit for bit, as two
+``sosfilt`` passes over an odd-extended copy that is freed after the
+forward pass, so the filter keeps two signal-sized buffers alive instead
+of three; the peak is ``max(max, -min)``, with no ``|x|`` temporary.
+
 STFT parameters are frame 2048 / hop 512 with a Hann window; frames are
 strided views of the signal. ``magnitude_spectrogram`` windows and
 transforms ``_STFT_BLOCK`` frames at a time into one preallocated (T, F)
@@ -147,10 +153,10 @@ class FeatureLayout:
 def read_wav(path) -> AudioSignal:
     """Decode a PCM/float WAV to mono float samples in [-1, 1].
 
-    PCM channels are scaled by their dtype before they are averaged. Float
-    data holding a NaN or an infinite sample is refused: ``preprocess`` would
-    spread it over the whole signal and ``extract`` would impute the result to
-    an almost all-zero feature row.
+    PCM channels are scaled by their dtype, in place, before they are
+    averaged. Float data holding a NaN or an infinite sample is refused:
+    ``preprocess`` would spread it over the whole signal and ``extract`` would
+    impute the result to an almost all-zero feature row.
     """
     import scipy.io.wavfile
 
@@ -160,16 +166,17 @@ def read_wav(path) -> AudioSignal:
         raise DataError(f"unreadable audio file {path}: {exc}") from exc
     if data.size == 0:
         raise DataError(f"empty audio file {path}")
+    samples = data.astype(float)
     if data.dtype == np.uint8:
-        samples = (data.astype(float) - 128.0) / 128.0
+        samples -= 128.0
+        samples /= 128.0
     elif data.dtype == np.int16:
-        samples = data.astype(float) / 32768.0
+        samples /= 32768.0
     elif data.dtype == np.int32:
-        samples = data.astype(float) / 2147483648.0
-    else:
-        samples = data.astype(float)
-        if not np.all(np.isfinite(samples)):
-            raise DataError(f"non-finite samples in audio file {path}")
+        samples /= 2147483648.0
+    elif not np.all(np.isfinite(samples)):
+        raise DataError(f"non-finite samples in audio file {path}")
+    del data
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     return AudioSignal(samples=samples, sample_rate=int(rate))
@@ -220,24 +227,62 @@ def _bandpass_sos(order: int, low: float, high: float, sample_rate: int) -> np.n
     return sos
 
 
-def preprocess(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()) -> AudioSignal:
-    """Resample, band-pass (forward-backward, zero phase), peak-normalize."""
+def _zero_phase(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """``sosfiltfilt`` with ``padlen=min(3 * (2 * len(sos) + 1), n - 1)``, bit for bit.
+
+    The same odd extension, initial conditions and two ``sosfilt`` passes,
+    but the extended input is freed as soon as the forward pass has read
+    it: besides ``samples`` the filter holds two arrays of the extended
+    length at a time (the extension and the forward pass, then the forward
+    and the backward pass), where ``sosfiltfilt`` holds all three through
+    its backward pass. Returns a reversed view of the backward pass with the
+    padding cut off.
+    """
     import scipy.signal
 
+    n = len(samples)
+    pad = min(3 * (2 * len(sos) + 1), n - 1)
+    ext = np.empty(n + 2 * pad)
+    ext[pad : pad + n] = samples
+    if pad:
+        ext[:pad] = 2 * samples[0] - samples[pad:0:-1]
+        ext[pad + n :] = 2 * samples[-1] - samples[-2 : -(pad + 2) : -1]
+    sos = sos.copy()  # sosfilt rejects a read-only sos, like the cached one
+    zi = scipy.signal.sosfilt_zi(sos)
+    forward, _ = scipy.signal.sosfilt(sos, ext, zi=zi * ext[0])
+    del ext
+    backward, _ = scipy.signal.sosfilt(sos, forward[::-1], zi=zi * forward[-1])
+    return backward[::-1][pad : pad + n]
+
+
+def _peak(samples: np.ndarray):
+    """``np.max(np.abs(samples))`` without the ``|x|`` temporary."""
+    return max(samples.max(), -samples.min())
+
+
+def preprocess(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()) -> AudioSignal:
+    """Resample, band-pass (forward-backward, zero phase), peak-normalize.
+
+    What stays alive: ``sig`` is read and dropped, so a caller that passes
+    ``read_wav(path)`` straight in frees the decoded source-rate signal as
+    soon as it is resampled. The band-pass then holds the resampled signal
+    and two filter buffers (see ``_zero_phase``), and the resampled signal
+    is dropped before the peak normalisation, which holds the filtered
+    signal and its normalised copy.
+    """
     samples = np.asarray(sig.samples, dtype=float)
+    source_rate = sig.sample_rate
+    del sig
     if samples.size == 0:
         raise DataError("empty signal")
-    if sig.sample_rate != cfg.sample_rate:
-        ratio = Fraction(cfg.sample_rate, sig.sample_rate).limit_denominator(1000)
+    if source_rate != cfg.sample_rate:
+        ratio = Fraction(cfg.sample_rate, source_rate).limit_denominator(1000)
         samples = resample(samples, ratio.numerator, ratio.denominator)
 
     sos = _bandpass_sos(cfg.filter_order, cfg.band_low, cfg.band_high, cfg.sample_rate)
-    default_pad = 3 * (2 * len(sos) + 1)
-    padlen = min(default_pad, max(0, len(samples) - 1))
-    # sosfiltfilt rejects a read-only sos, so it gets a copy of the cached one
-    filtered = scipy.signal.sosfiltfilt(sos.copy(), samples, padlen=padlen)
-
-    peak = np.max(np.abs(filtered))
+    filtered = _zero_phase(sos, samples)
+    del samples
+    peak = _peak(filtered)
     if peak > 0:
         filtered = filtered / peak
     return AudioSignal(samples=filtered, sample_rate=cfg.sample_rate)
@@ -460,6 +505,7 @@ def streams(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()):
     spec = magnitude_spectrogram(sig, cfg).T  # (T, F), C-contiguous
     mel, chroma_stft, chroma_logf = _project_power(spec, cfg)
     centroid, bandwidth = _centroid_bandwidth(spec, cfg)
+    del spec  # the largest array of an extraction; the other streams come from mel
     envelope, n_onsets, onset_rate = _onset_from_mel(mel, sig.duration)
     frames = {
         "mel": mel,
@@ -497,9 +543,13 @@ def aggregate(series) -> np.ndarray:
     std = np.sqrt(m2)
     flat = std <= 1e-12 * np.maximum(1.0, np.abs(mean))
     safe_m2 = np.where(flat, 1.0, m2)
-    # products, not ``**3``/``**4``: NumPy sends those to libm pow, ~70x slower
-    skew = np.where(flat, 0.0, np.mean(squared * centered, axis=-1) / safe_m2**1.5)
-    kurt = np.where(flat, 0.0, np.mean(squared * squared, axis=-1) / (safe_m2 * safe_m2) - 3.0)
+    # products, not ``**3``/``**4``: NumPy sends those to libm pow, ~70x slower;
+    # formed in place, so the third and fourth powers need no new (..., T) array
+    centered *= squared
+    skew = np.where(flat, 0.0, np.mean(centered, axis=-1) / safe_m2**1.5)
+    squared *= squared
+    kurt = np.where(flat, 0.0, np.mean(squared, axis=-1) / (safe_m2 * safe_m2) - 3.0)
+    del centered, squared  # before np.median makes its partitioned copy
     return np.stack(
         [mean, std, series.min(axis=-1), series.max(axis=-1), np.median(series, axis=-1), skew, kurt],
         axis=-1,

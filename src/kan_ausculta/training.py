@@ -130,8 +130,7 @@ class AudioFeatureSource:
         self._cache = dict(cache) if cache else {}
 
     def _extract_path(self, path) -> np.ndarray:
-        raw = read_wav(path)
-        return extract(preprocess(raw, self.layout.config), self.layout)
+        return extract(preprocess(read_wav(path), self.layout.config), self.layout)
 
     def base_row(self, path) -> np.ndarray:
         if path not in self._cache:

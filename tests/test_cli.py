@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,8 @@ from kan_ausculta import cli as cli_module
 from kan_ausculta.cli import main
 from kan_ausculta.config import load_config
 from kan_ausculta.dataset import ingest
+from kan_ausculta.errors import DataError
+from kan_ausculta.features import FeatureConfig
 from kan_ausculta.training import AudioFeatureSource, run_cv
 from test_config import BAD_SETTINGS
 
@@ -363,6 +367,147 @@ class TestExtractParallel:
                      "--config", str(config), "--out", str(tmp_path / "features.npz"),
                      *flag]) == 0
         assert seen == [expected]
+
+
+def index_paths(audio, table):
+    return [row.path for row in ingest(audio, table, 3).index.rows]
+
+
+class TestExtractPipeline:
+    """``jobs`` 1: a helper thread decodes and filters row i + 1 while row i is extracted."""
+
+    def test_rows_equal_extract_one_in_order(self, corpus):
+        paths = index_paths(*corpus)
+        cfg = FeatureConfig()
+        expected = [cli_module._extract_one((p, cfg.__dict__)) for p in paths]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            matrix = cli_module._extract_all(paths, cfg, 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert matrix.shape == (len(paths), len(expected[0]))
+        for row, want in zip(matrix, expected):
+            assert row.tobytes() == want.tobytes()
+
+    def test_each_stage_runs_once_per_path_and_the_helper_is_joined(self, corpus, monkeypatch):
+        paths = index_paths(*corpus)
+        real_read, real_preprocess, real_extract = (
+            cli_module.read_wav, cli_module.preprocess, cli_module.extract)
+        read, filtered, extracted = [], [], []
+
+        def read_wav(path):
+            read.append(path)
+            return real_read(path)
+
+        def preprocess(sig, cfg):
+            filtered.append(real_preprocess(sig, cfg))
+            return filtered[-1]
+
+        def extract(sig, layout):
+            extracted.append(sig)
+            return real_extract(sig, layout)
+
+        monkeypatch.setattr(cli_module, "read_wav", read_wav)
+        monkeypatch.setattr(cli_module, "preprocess", preprocess)
+        monkeypatch.setattr(cli_module, "extract", extract)
+        threads = threading.active_count()
+        cli_module._extract_all(paths, FeatureConfig(), 1)
+        assert threading.active_count() == threads
+        assert read == paths
+        assert len(filtered) == len(paths)
+        # each signal preprocess made is extracted once, in path order
+        assert [id(sig) for sig in extracted] == [id(sig) for sig in filtered]
+
+    @pytest.mark.parametrize("damage", ["undecodable", "non-finite"])
+    def test_bad_recording_in_the_middle_exits_2_naming_it(self, tmp_path, damage, capsys):
+        audio, table = write_corpus(tmp_path, {"COPD": 10, "Healthy": 10, "Pneumonia": 10})
+        paths = index_paths(audio, table)
+        bad = Path(paths[len(paths) // 2])
+        if damage == "undecodable":
+            bad.write_bytes(b"RIFF not really a wave file")
+        else:
+            rate, samples = scipy.io.wavfile.read(bad)
+            samples[100] = np.inf
+            scipy.io.wavfile.write(bad, rate, samples)
+        threads = threading.active_count()
+        code = main(["extract", "--data", str(audio), "--diagnosis", str(table),
+                     "--out", str(tmp_path / "features.npz")])
+        assert threading.active_count() == threads
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(bad) in err
+        assert not (tmp_path / "features.npz").exists()
+
+    def test_first_bad_recording_in_list_order_is_named(self, tmp_path, monkeypatch):
+        audio, table = write_corpus(tmp_path, {"COPD": 10, "Healthy": 10, "Pneumonia": 10})
+        paths = index_paths(audio, table)
+        for k in (5, 6, 20):
+            Path(paths[k]).write_bytes(b"garbage")
+        real_read = cli_module.read_wav
+        read = []
+
+        def read_wav(path):
+            read.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(cli_module, "read_wav", read_wav)
+        with pytest.raises(DataError, match=str(paths[5])):
+            cli_module._extract_all(paths, FeatureConfig(), 1)
+        assert read == paths[:6]  # nothing past the failed recording is read
+
+    def test_extract_error_propagates_while_the_next_row_loads(self, corpus, monkeypatch):
+        paths = index_paths(*corpus)
+        failing = 3
+        loading, failed = threading.Event(), threading.Event()
+        real_preprocess, real_extract = cli_module.preprocess, cli_module.extract
+        decoded, extracted = [], []
+
+        def preprocess(sig, cfg):
+            decoded.append(sig)
+            if len(decoded) == failing + 2:  # row failing + 1 waits until row failing has failed
+                loading.set()
+                assert failed.wait(10)
+            return real_preprocess(sig, cfg)
+
+        def extract(sig, layout):
+            extracted.append(sig)
+            if len(extracted) == failing + 1:
+                assert loading.wait(10)  # row failing + 1 is loading right now
+                failed.set()
+                raise FloatingPointError("extraction failed")
+            return real_extract(sig, layout)
+
+        monkeypatch.setattr(cli_module, "preprocess", preprocess)
+        monkeypatch.setattr(cli_module, "extract", extract)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="extraction failed"):
+            cli_module._extract_all(paths, FeatureConfig(), 1)
+        assert threading.active_count() == threads
+        # nothing was started past the row after the failed one
+        assert len(decoded) == failing + 2 and len(extracted) == failing + 1
+
+    def test_extract_error_wins_over_a_failing_load_beside_it(self, corpus, monkeypatch):
+        paths = index_paths(*corpus)
+        real_read, real_extract = cli_module.read_wav, cli_module.extract
+
+        def read_wav(path):
+            if path == paths[2]:
+                raise DataError(f"unreadable audio file {path}")
+            return real_read(path)
+
+        extracted = []
+
+        def extract(sig, layout):
+            extracted.append(sig)
+            if len(extracted) == 2:
+                raise FloatingPointError("row 1 failed")
+            return real_extract(sig, layout)
+
+        monkeypatch.setattr(cli_module, "read_wav", read_wav)
+        monkeypatch.setattr(cli_module, "extract", extract)
+        with pytest.raises(FloatingPointError, match="row 1 failed"):
+            cli_module._extract_all(paths, FeatureConfig(), 1)
 
 
 class TestAblateCommand:

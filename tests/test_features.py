@@ -23,10 +23,12 @@ from kan_ausculta.features import (
     _fft_freqs,
     _frame,
     _onset_from_mel,
+    _peak,
     _pitch_classes,
     _project_power,
     _resample_lowpass,
     _stream_labels,
+    _zero_phase,
     aggregate,
     default_layout,
     extract,
@@ -87,6 +89,24 @@ def aggregate_oracle(series):
         skew = np.mean(centered**3) / m2**1.5
         kurt = np.mean(centered**4) / (m2 * m2) - 3.0
     return np.array([mean, std, series.min(), series.max(), np.median(series), skew, kurt])
+
+
+def aggregate_products_oracle(series):
+    """The vectorised statistics with a fresh array for each moment product."""
+    series = np.asarray(series, dtype=float)
+    mean = series.mean(axis=-1)
+    centered = series - mean[..., None]
+    squared = centered * centered
+    m2 = np.mean(squared, axis=-1)
+    std = np.sqrt(m2)
+    flat = std <= 1e-12 * np.maximum(1.0, np.abs(mean))
+    safe_m2 = np.where(flat, 1.0, m2)
+    skew = np.where(flat, 0.0, np.mean(squared * centered, axis=-1) / safe_m2**1.5)
+    kurt = np.where(flat, 0.0, np.mean(squared * squared, axis=-1) / (safe_m2 * safe_m2) - 3.0)
+    return np.stack(
+        [mean, std, series.min(axis=-1), series.max(axis=-1), np.median(series, axis=-1), skew, kurt],
+        axis=-1,
+    )
 
 
 def chroma_oracle(power, cfg):
@@ -257,6 +277,52 @@ class TestPreprocess:
             out = preprocess(sig, CFG)
             assert out.sample_rate == SR
             np.testing.assert_array_equal(out.samples, expected)
+
+    def test_memory_above_the_input_stays_below_two_and_a_half_signals(self):
+        # already at the target rate, so nothing depends on preprocess being
+        # handed the only reference to its input
+        sig = AudioSignal(np.random.default_rng(61).normal(size=60 * SR), SR)
+        preprocess(AudioSignal(sig.samples[:SR], SR), CFG)  # design and cache the band-pass
+        tracemalloc.start()
+        try:
+            out = preprocess(sig, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.samples.shape == sig.samples.shape
+        assert peak < 2.5 * sig.samples.nbytes
+
+
+BAND_CONFIGS = [CFG, FeatureConfig(sample_rate=8000, band_low=50.0, band_high=3000.0)]
+
+
+class TestZeroPhase:
+    @pytest.mark.parametrize("cfg", BAND_CONFIGS, ids=["default", "8k-wide"])
+    @pytest.mark.parametrize("n", [1, 2, 27, 28, 29, 4096, 441_000])
+    def test_equals_sosfiltfilt(self, cfg, n):
+        sos = _bandpass_sos(cfg.filter_order, cfg.band_low, cfg.band_high, cfg.sample_rate)
+        assert 3 * (2 * len(sos) + 1) == 27
+        x = np.random.default_rng(n).normal(size=n)
+        before = x.copy()
+        out = _zero_phase(sos, x)
+        expected = scipy.signal.sosfiltfilt(sos.copy(), x, padlen=min(27, n - 1))
+        assert out.shape == (n,)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(5).normal(size=1000),
+        np.random.default_rng(6).normal(size=1000) - 3.0,
+        np.random.default_rng(7).normal(size=1000) + 3.0,
+        np.zeros(100),
+        np.array([-0.0]),
+        np.array([-0.0, 0.0, -0.0]),
+        np.array([-2.5]),
+        np.array([1.0, -1.0]),
+    ], ids=["random", "negative", "positive", "zeros", "minus-zero", "signed-zeros", "one",
+            "tie"])
+    def test_peak_equals_max_abs(self, x):
+        assert _peak(x) == np.max(np.abs(x))
 
 
 class TestResample:
@@ -535,6 +601,16 @@ class TestAggregate:
         # now products rather than pow calls, so compare relative to max(1, |ref|)
         assert np.all(np.abs(out[:, 5:] - ref[:, 5:]) <= 1e-12 * np.maximum(1.0, np.abs(ref[:, 5:])))
 
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["normal", "constant", "near_flat", "skewed", "mixed"])
+    def test_in_place_products_equal_fresh_products(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(1, 900))
+        kinds = ["normal", "constant", "near_flat", "skewed"] * 3 if kind == "mixed" else [kind] * 5
+        series = _rows_for(kinds, length, rng)
+        for shaped in (series, series[0], series.reshape(-1, 1, length)):
+            np.testing.assert_array_equal(aggregate(shaped), aggregate_products_oracle(shaped))
+
     def test_constant_series(self):
         out = aggregate(np.full(7, 3.25))
         np.testing.assert_allclose(out, [3.25, 0, 3.25, 3.25, 3.25, 0, 0], atol=1e-12)
@@ -690,6 +766,27 @@ class TestWavIO:
         path = tmp_path / f"stereo_{np.dtype(dtype).name}.wav"
         scipy.io.wavfile.write(path, SR, np.stack([left, right], axis=1))
         np.testing.assert_allclose(read_wav(path).samples, wave / 2, atol=atol)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float32])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_in_place_scaling_equals_the_scaled_copy(self, tmp_path, dtype, channels):
+        info = np.iinfo(dtype) if np.issubdtype(dtype, np.integer) else None
+        rng = np.random.default_rng(channels)
+        if info is None:
+            data = rng.uniform(-1.0, 1.0, size=(4000, channels)).astype(dtype)
+        else:
+            data = rng.integers(info.min, info.max, size=(4000, channels), endpoint=True,
+                                dtype=dtype)
+            data[:2] = [[info.min], [info.max]]
+        path = tmp_path / "pcm.wav"
+        scipy.io.wavfile.write(path, SR, data.squeeze())
+        expected = {
+            np.uint8: lambda d: (d.astype(float) - 128.0) / 128.0,
+            np.int16: lambda d: d.astype(float) / 32768.0,
+            np.int32: lambda d: d.astype(float) / 2147483648.0,
+            np.float32: lambda d: d.astype(float),
+        }[dtype](data).mean(axis=1)
+        np.testing.assert_array_equal(read_wav(path).samples, expected)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("channels", [1, 2])
