@@ -15,6 +15,7 @@ The feature cache location can be overridden with KAN_AUSCULTA_CACHE.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import os
 import sys
@@ -123,16 +124,15 @@ def _load(path, cfg: FeatureConfig):
     return preprocess(read_wav(path), cfg)
 
 
-def _extract_one(args):
-    path, cfg_dict = args
-    cfg = FeatureConfig(**cfg_dict)
+def _extract_one(path, cfg: FeatureConfig):
     return extract(_load(path, cfg), default_layout(cfg))
 
 
-def _extract_pipelined(paths, cfg: FeatureConfig) -> list:
-    """``_extract_one`` of each path, in order, decoding one recording ahead.
+def _extract_all(paths, feature_config: FeatureConfig, jobs: int) -> np.ndarray:
+    """``_extract_one`` of each path, stacked in input order.
 
-    A helper thread decodes and filters recording i + 1 while this thread
+    With ``jobs`` > 1 a process pool extracts the rows. With ``jobs`` 1 a
+    helper thread decodes and filters recording i + 1 while this thread
     extracts recording i (scipy's filters, numpy's FFT and the sparse
     product release the GIL), so at most two recordings are in flight. The
     first error in list order propagates, as in a serial loop: a failed
@@ -140,32 +140,24 @@ def _extract_pipelined(paths, cfg: FeatureConfig) -> list:
     extract wins over the load running beside it. The helper is joined
     before this returns or raises.
     """
-    layout = default_layout(cfg)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # map preserves input order
+            return np.stack(list(pool.map(_extract_one, paths, itertools.repeat(feature_config))))
+    layout = default_layout(feature_config)
     rows = []
-    if not paths:
-        return rows
     with ThreadPoolExecutor(max_workers=1) as loader:
-        ahead = loader.submit(_load, paths[0], cfg)
+        ahead = loader.submit(_load, paths[0], feature_config)
         for following in [*paths[1:], None]:
             signal = ahead.result()
             if following is not None:
-                ahead = loader.submit(_load, following, cfg)
+                ahead = loader.submit(_load, following, feature_config)
             rows.append(extract(signal, layout))
             del signal  # only the recording ahead stays alive while it loads
-    return rows
-
-
-def _extract_all(paths, feature_config: FeatureConfig, jobs: int) -> np.ndarray:
-    if jobs > 1:
-        work = [(p, feature_config.__dict__) for p in paths]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_extract_one, work))  # map preserves input order
-    else:
-        rows = _extract_pipelined(paths, feature_config)
     return np.stack(rows)
 
 
-def _load_run_config(args):
+def _load_run_config(args, preset=None):
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -173,14 +165,11 @@ def _load_run_config(args):
         overrides["folds"] = args.folds
     if getattr(args, "jobs", None) is not None:
         overrides["jobs"] = args.jobs
-    return load_config(
-        path=getattr(args, "config", None),
-        preset=getattr(args, "preset", None),
-        overrides=overrides,
-    )
+    return load_config(path=args.config, preset=preset, overrides=overrides)
 
 
 def _audio_source(cfg, index, cache_file) -> AudioFeatureSource:
+    """The index's base rows: from ``cache_file`` if given, the rest extracted now."""
     cache = {}
     layout = default_layout(cfg.features)
     if cache_file and Path(cache_file).is_file():
@@ -190,11 +179,10 @@ def _audio_source(cfg, index, cache_file) -> AudioFeatureSource:
         cache = dict(zip(paths, matrix))
         log.info("loaded %d cached feature rows from %s", len(paths), cache_file)
     missing = [row.path for row in index.rows if row.path not in cache]
-    if missing and cfg.jobs > 1:
-        log.info("pre-extracting %d recordings with %d workers", len(missing), cfg.jobs)
-        matrix = _extract_all(missing, cfg.features, cfg.jobs)
-        cache.update(zip(missing, matrix))
-    return AudioFeatureSource(cfg.features, cache=cache)
+    if missing:
+        log.info("extracting %d recordings with %d worker(s)", len(missing), cfg.jobs)
+        cache.update(zip(missing, _extract_all(missing, cfg.features, cfg.jobs)))
+    return AudioFeatureSource(cfg.features, cache)
 
 
 def _train_once(cfg, index, source, out_dir: Path):
@@ -264,7 +252,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _load_run_config(args, args.preset)
     result = ingest(args.data, args.diagnosis, cfg.min_class_count)
     cache_file = args.cache or os.environ.get(CACHE_ENV)
     source = _audio_source(cfg, result.index, cache_file)
@@ -281,13 +269,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_ablate(args) -> int:
     out_root = Path(args.out)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.folds is not None:
-        overrides["folds"] = args.folds
     presets = ("baseline_ce", "focal_only", "augment_only", "smote_only", "full")
-    configs = [load_config(path=args.config, preset=p, overrides=overrides) for p in presets]
+    configs = [_load_run_config(args, p) for p in presets]
     # presets set no features.* or data.* key, so one index and one source
     # (one extraction per recording) serve all of them
     result = ingest(args.data, args.diagnosis, configs[0].min_class_count)

@@ -14,8 +14,8 @@ it fires, ``apply_transforms`` applies each of the three transforms
 (additive Gaussian noise, circular time shift, pitch shift) independently
 with probability 0.5. The gate is drawn in
 ``training.AudioFeatureSource.epoch_features``, once per training row and
-before the recording is decoded, so rows it skips reuse their cached
-features.
+before the recording is decoded, so rows it skips reuse their base
+features, which ``cli`` extracts for every recording before training.
 """
 
 from __future__ import annotations

@@ -12,6 +12,12 @@ One fold runs:
 3. return the best snapshot; its validation probabilities join the pooled
    out-of-fold arrays that produce the headline metrics.
 
+A feature source supplies the rows. ``AudioFeatureSource`` holds every
+un-augmented ("base") row, computed before ``run_cv`` starts (``cli``
+extracts the uncached recordings through ``extract``'s path), and
+re-extracts only the training rows whose augmentation gate fires.
+``ArrayFeatureSource`` serves a precomputed matrix with no audio.
+
 Leakage guards: validation rows never reach augmentation, SMOTE, or
 scaler fitting; each of those paths raises ContractViolation when handed
 a validation-tagged row.
@@ -121,27 +127,23 @@ class ArrayFeatureSource:
 
 
 class AudioFeatureSource:
-    """Extract features from WAV files, caching the non-augmented baseline."""
+    """Base rows from a precomputed ``{path: row}`` map; augmented rows from the WAVs.
 
-    def __init__(self, feature_config, cache: dict | None = None):
+    ``cache`` must hold the base row of every recording the run reads
+    (``cli`` extracts the uncached ones up front); it is kept, not copied.
+    """
+
+    def __init__(self, feature_config, cache: dict):
         self.layout = default_layout(feature_config)
         self.fingerprint = self.layout.fingerprint
         self.d_feat = self.layout.dim
-        self._cache = dict(cache) if cache else {}
-
-    def _extract_path(self, path) -> np.ndarray:
-        return extract(preprocess(read_wav(path), self.layout.config), self.layout)
-
-    def base_row(self, path) -> np.ndarray:
-        if path not in self._cache:
-            self._cache[path] = self._extract_path(path)
-        return self._cache[path]
+        self._cache = cache
 
     def base_features(self, rows) -> np.ndarray:
-        return np.stack([self.base_row(row.path) for row in rows])
+        return np.stack([self._cache[row.path] for row in rows])
 
     def epoch_features(self, rows, rng, augment_cfg, class_names) -> np.ndarray:
-        """Per-epoch augmented extraction; unchanged signals reuse the cache.
+        """Per-epoch augmented extraction; rows the gate skips reuse their base row.
 
         This is the augmentation gate: its class-resolved probability is
         drawn per row in row order, before anything is decoded, so the
@@ -167,7 +169,7 @@ class AudioFeatureSource:
                 )
                 out[i] = extract(preprocess(augmented, self.layout.config), self.layout)
             else:
-                out[i] = self.base_row(row.path)
+                out[i] = self._cache[row.path]
         return out
 
 
@@ -415,7 +417,7 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
     return report, probs_val, FoldArtifacts(fold=fold_idx, model=model, scaler=best_scaler)
 
 
-def run_cv(cfg: RunConfig, index: DatasetIndex, source=None):
+def run_cv(cfg: RunConfig, index: DatasetIndex, source):
     """Cross-validate per the two-stage recipe; returns (RunReport, artifacts).
 
     Fully reproducible given (config, seed, dataset bytes). A failing fold
@@ -425,8 +427,6 @@ def run_cv(cfg: RunConfig, index: DatasetIndex, source=None):
     """
     if len(index) == 0:
         raise ValueError("empty dataset index")
-    if source is None:
-        source = AudioFeatureSource(cfg.features)
 
     labels = index.labels()
     assignment = stratified_kfold(labels, cfg.folds, cfg.seed)

@@ -346,7 +346,7 @@ def test_criterion_10_leakage_guards():
     poisoned = [IndexRow(path="val.wav", patient_id="0", label=0, split="val")]
     tripped = []
     try:
-        AudioFeatureSource(FeatureConfig()).epoch_features(
+        AudioFeatureSource(FeatureConfig(), {}).epoch_features(
             poisoned, np.random.default_rng(0), AugmentConfig(), ("Healthy",))
     except ContractViolation:
         tripped.append("augmentation")
@@ -375,7 +375,7 @@ def test_criterion_10_leakage_guards():
 )
 def test_criterion_11_optional_full_corpus():
     from kan_ausculta.dataset import ingest
-    from kan_ausculta.training import AudioFeatureSource
+    from kan_ausculta.cli import _audio_source
 
     cfg = load_config(preset="full")
     result = ingest(
@@ -383,7 +383,7 @@ def test_criterion_11_optional_full_corpus():
         os.environ["KAN_AUSCULTA_ICBHI_DIAGNOSIS"],
         cfg.min_class_count,
     )
-    source = AudioFeatureSource(cfg.features)
+    source = _audio_source(cfg, result.index, None)
     report, _ = run_cv(cfg, result.index, source)
     _report(
         11,

@@ -15,7 +15,7 @@ from kan_ausculta.config import load_config
 from kan_ausculta.dataset import ingest
 from kan_ausculta.errors import DataError
 from kan_ausculta.features import FeatureConfig
-from kan_ausculta.training import AudioFeatureSource, run_cv
+from kan_ausculta.training import run_cv
 from test_config import BAD_SETTINGS
 
 SR = 22050
@@ -25,20 +25,20 @@ PRESETS = ("baseline_ce", "focal_only", "augment_only", "smote_only", "full")
 
 @pytest.fixture
 def count_extractions(monkeypatch):
-    """Count base-row cache misses (recordings extracted) in AudioFeatureSource.
+    """The row of each base-row extraction (``cli.extract`` call), in call order.
 
     The cache environment variable is cleared, so only an explicit --cache is read.
     """
-    misses = []
-    real = AudioFeatureSource._extract_path
+    extracted = []
+    real = cli_module.extract
 
-    def counting(self, path):
-        misses.append(path)
-        return real(self, path)
+    def counting(sig, layout):
+        extracted.append(real(sig, layout))
+        return extracted[-1]
 
-    monkeypatch.setattr(AudioFeatureSource, "_extract_path", counting)
+    monkeypatch.setattr(cli_module, "extract", counting)
     monkeypatch.delenv("KAN_AUSCULTA_CACHE", raising=False)
-    return misses
+    return extracted
 
 
 def write_corpus(root, counts):
@@ -203,6 +203,7 @@ class TestExtractCommand:
         assert main(["extract", "--data", str(audio), "--diagnosis", str(table),
                      "--out", str(cache)]) == 0
         assert cache.is_file() and not (tmp_path / "feats.npz").exists()
+        count_extractions.clear()  # extract's own rows
         code = main([
             "train", "--data", str(audio), "--diagnosis", str(table),
             "--config", str(config_file), "--out", str(tmp_path / "run"), "--seed", "3",
@@ -379,7 +380,7 @@ class TestExtractPipeline:
     def test_rows_equal_extract_one_in_order(self, corpus):
         paths = index_paths(*corpus)
         cfg = FeatureConfig()
-        expected = [cli_module._extract_one((p, cfg.__dict__)) for p in paths]
+        expected = [cli_module._extract_one(p, cfg) for p in paths]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
@@ -510,6 +511,60 @@ class TestExtractPipeline:
             cli_module._extract_all(paths, FeatureConfig(), 1)
 
 
+class TestBaseRowExtraction:
+    """``train`` and ``ablate`` extract every uncached recording up front, as ``extract`` does."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_undecodable_recording_exits_2_naming_it(self, config_file, tmp_path, monkeypatch,
+                                                     command, jobs, capsys):
+        monkeypatch.delenv("KAN_AUSCULTA_CACHE", raising=False)
+        audio, table = write_corpus(tmp_path, {"COPD": 10, "Healthy": 10, "Pneumonia": 10})
+        bad = Path(index_paths(audio, table)[15])
+        bad.write_bytes(b"RIFF not really a wave file")
+        config = tmp_path / "jobs.cfg"
+        config.write_text(config_file.read_text() + f"jobs = {jobs}\n")
+        out = tmp_path / "run"
+        code = main([command, "--data", str(audio), "--diagnosis", str(table),
+                     "--config", str(config), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(bad) in err
+        assert not out.exists()
+
+    def test_train_extracts_every_path_before_run_cv_as_the_cache_would(
+            self, corpus, config_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("KAN_AUSCULTA_CACHE", raising=False)
+        audio, table = corpus
+        data = ["--data", str(audio), "--diagnosis", str(table), "--config", str(config_file)]
+        cache = tmp_path / "features.npz"
+        cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+        assert main(["extract", *data, "--out", str(cache)]) == 0
+        assert main(["train", *data, "--seed", "3", "--out", str(cached),
+                     "--cache", str(cache)]) == 0
+
+        calls = []
+        real_extract_all, real_run_cv = cli_module._extract_all, cli_module.run_cv
+
+        def extract_all(paths, feature_config, jobs):
+            calls.append(("_extract_all", list(paths), jobs))
+            return real_extract_all(paths, feature_config, jobs)
+
+        def run_cv(*args):
+            calls.append(("run_cv",))
+            return real_run_cv(*args)
+
+        monkeypatch.setattr(cli_module, "_extract_all", extract_all)
+        monkeypatch.setattr(cli_module, "run_cv", run_cv)
+        assert main(["train", *data, "--seed", "3", "--out", str(fresh), "--jobs", "1"]) == 0
+        assert calls == [("_extract_all", index_paths(audio, table), 1), ("run_cv",)]
+        names = sorted(p.name for p in cached.iterdir())
+        assert "report.json" in names and "model_fold1.npz" in names
+        assert sorted(p.name for p in fresh.iterdir()) == names
+        for name in names:
+            assert (fresh / name).read_bytes() == (cached / name).read_bytes(), name
+
+
 class TestAblateCommand:
     def test_runs_all_presets_with_cache(self, corpus, config_file, tmp_path, capsys):
         audio, table = corpus
@@ -554,7 +609,7 @@ class TestAblateCommand:
         ])
         assert code == 0
         assert len(count_extractions) == 30  # once per recording, not once per preset
-        assert len(set(count_extractions)) == 30
+        assert len({row.tobytes() for row in count_extractions}) == 30  # distinct recordings
 
         summary = {line.split(",")[0]: line.split(",")[1:3]
                    for line in (out / "summary.csv").read_text().splitlines()[1:]}
@@ -562,7 +617,7 @@ class TestAblateCommand:
         for preset in PRESETS:  # a fresh source per preset gives the same numbers
             cfg = load_config(path=str(config_file), preset=preset, overrides={"seed": 2})
             index = ingest(str(audio), str(table), cfg.min_class_count).index
-            report, _ = run_cv(cfg, index, AudioFeatureSource(cfg.features))
+            report, _ = run_cv(cfg, index, cli_module._audio_source(cfg, index, None))
             assert summary[preset] == [f"{report.pooled.accuracy:.17g}",
                                        f"{report.pooled.macro_f1:.17g}"]
 

@@ -8,7 +8,8 @@ import scipy.io.wavfile
 import scipy.signal
 
 from kan_ausculta import features as features_module
-from kan_ausculta import imbalance, training
+from kan_ausculta import cli, imbalance, training
+from kan_ausculta.config import load_config
 from kan_ausculta.dataset import DatasetIndex, IndexRow
 from kan_ausculta.errors import ContractViolation, DataError
 from kan_ausculta.features import FeatureConfig
@@ -36,14 +37,21 @@ def sine(freq, seconds=1.0, sr=SR):
 CLASS_NAMES = ("c0",)
 
 
-def audio_rows(tmp_path, n, seconds=0.5):
-    """An audio feature source and ``n`` training rows of short written WAVs."""
+def wav_rows(tmp_path, n, seconds=0.5):
+    """``n`` training rows of short written WAVs."""
     rows = []
     for k in range(n):
         path = tmp_path / f"{k}.wav"
         scipy.io.wavfile.write(path, SR, (0.5 * sine(200 + 50 * k, seconds)).astype(np.float32))
         rows.append(IndexRow(path=str(path), patient_id=str(k), label=0, split="train"))
-    return training.AudioFeatureSource(FeatureConfig()), rows
+    return rows
+
+
+def audio_rows(tmp_path, n):
+    """An audio feature source holding the base rows of ``wav_rows``, and the rows."""
+    rows = wav_rows(tmp_path, n)
+    index = DatasetIndex(rows=rows, class_names=CLASS_NAMES)
+    return cli._audio_source(load_config(), index, None), rows
 
 
 def pitch_k(semitones):
@@ -367,7 +375,9 @@ class TestTransforms:
         assert cfg.pitch_range_for(None) == cfg.pitch_range_semitones
 
     def test_empty_signal_rejected(self, tmp_path):
-        source, rows = audio_rows(tmp_path, 1, seconds=0.0)
+        # the gate fires for every row, so the source needs no base row
+        source = training.AudioFeatureSource(FeatureConfig(), {})
+        rows = wav_rows(tmp_path, 1, seconds=0.0)
         with pytest.raises(DataError, match="empty audio file"):
             source.epoch_features(rows, np.random.default_rng(0),
                                   AugmentConfig(base_probability=1.0), CLASS_NAMES)

@@ -76,7 +76,7 @@ class TestLeakageGuards:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ContractViolation):
-            AudioFeatureSource(FeatureConfig()).epoch_features(
+            AudioFeatureSource(FeatureConfig(), {}).epoch_features(
                 rows, rng, AugmentConfig(base_probability=1.0), index.class_names)
         assert decoded == [] and rng.bit_generator.state == state
 
@@ -93,7 +93,7 @@ class TestLeakageGuards:
 
     def test_epoch_features_guard(self):
         index, _ = make_small_dataset()
-        audio_source = AudioFeatureSource(FeatureConfig())
+        audio_source = AudioFeatureSource(FeatureConfig(), {})
         rows = [dataclasses.replace(index.rows[0], split="val")]
         with pytest.raises(ContractViolation):
             audio_source.epoch_features(rows, np.random.default_rng(0),
@@ -255,6 +255,8 @@ class TestAudioFeatureSourceCaching:
     def test_base_features_cached_and_deterministic(self, tmp_path):
         import scipy.io.wavfile
 
+        from kan_ausculta.cli import _audio_source
+        from kan_ausculta.config import RunConfig
         from kan_ausculta.dataset import DatasetIndex, IndexRow
 
         rng = np.random.default_rng(0)
@@ -263,11 +265,13 @@ class TestAudioFeatureSourceCaching:
             path = tmp_path / f"{k}_x.wav"
             scipy.io.wavfile.write(path, 22050,
                                    (0.4 * rng.normal(size=6000)).astype(np.float32))
-            paths.append(str(path))
-        rows = [IndexRow(path=p, patient_id=str(k), label=0, split="train")
+            paths.append(path)
+        rows = [IndexRow(path=str(p), patient_id=str(k), label=0, split="train")
                 for k, p in enumerate(paths)]
         index = DatasetIndex(rows=rows, class_names=("only",))
-        source = AudioFeatureSource(FeatureConfig())
+        source = _audio_source(RunConfig(), index, None)
+        for path in paths:
+            path.unlink()  # base rows must come from the cache, not the WAVs
         a = source.base_features(index.rows)
         b = source.base_features(index.rows)
         np.testing.assert_array_equal(a, b)
