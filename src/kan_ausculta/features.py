@@ -227,9 +227,20 @@ def _bandpass_sos(order: int, low: float, high: float, sample_rate: int) -> np.n
     return sos
 
 
-def _zero_phase(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _bandpass_zi(order: int, low: float, high: float, sample_rate: int) -> np.ndarray:
+    """Read-only ``sosfilt_zi`` of ``_bandpass_sos``: its unit-step initial conditions."""
+    import scipy.signal
+
+    zi = scipy.signal.sosfilt_zi(_bandpass_sos(order, low, high, sample_rate).copy())
+    zi.setflags(write=False)
+    return zi
+
+
+def _zero_phase(sos: np.ndarray, zi: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """``sosfiltfilt`` with ``padlen=min(3 * (2 * len(sos) + 1), n - 1)``, bit for bit.
 
+    ``zi`` is ``sosfilt_zi(sos)``, scaled here by each pass's first sample.
     The same odd extension, initial conditions and two ``sosfilt`` passes,
     but the extended input is freed as soon as the forward pass has read
     it: besides ``samples`` the filter holds two arrays of the extended
@@ -248,7 +259,6 @@ def _zero_phase(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
         ext[:pad] = 2 * samples[0] - samples[pad:0:-1]
         ext[pad + n :] = 2 * samples[-1] - samples[-2 : -(pad + 2) : -1]
     sos = sos.copy()  # sosfilt rejects a read-only sos, like the cached one
-    zi = scipy.signal.sosfilt_zi(sos)
     forward, _ = scipy.signal.sosfilt(sos, ext, zi=zi * ext[0])
     del ext
     backward, _ = scipy.signal.sosfilt(sos, forward[::-1], zi=zi * forward[-1])
@@ -279,8 +289,8 @@ def preprocess(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()) -> AudioS
         ratio = Fraction(cfg.sample_rate, source_rate).limit_denominator(1000)
         samples = resample(samples, ratio.numerator, ratio.denominator)
 
-    sos = _bandpass_sos(cfg.filter_order, cfg.band_low, cfg.band_high, cfg.sample_rate)
-    filtered = _zero_phase(sos, samples)
+    band = (cfg.filter_order, cfg.band_low, cfg.band_high, cfg.sample_rate)
+    filtered = _zero_phase(_bandpass_sos(*band), _bandpass_zi(*band), samples)
     del samples
     peak = _peak(filtered)
     if peak > 0:
@@ -305,6 +315,14 @@ def _frame(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
     return sliding_window_view(samples, frame)[::hop]
 
 
+@functools.lru_cache(maxsize=8)
+def _hann(frame_length: int) -> np.ndarray:
+    """Read-only ``np.hanning(frame_length)``."""
+    window = np.hanning(frame_length)
+    window.setflags(write=False)
+    return window
+
+
 # frames per window multiply and rfft: a (32, 2048) float64 block is 512 KiB,
 # so the block and its spectrum stay in cache (8 to 128 give the same bytes)
 _STFT_BLOCK = 32
@@ -318,7 +336,7 @@ def magnitude_spectrogram(sig: AudioSignal, cfg: FeatureConfig) -> np.ndarray:
     complex copy is made.
     """
     frames = _frame(np.asarray(sig.samples, dtype=float), cfg.frame_length, cfg.hop_length)
-    window = np.hanning(cfg.frame_length)
+    window = _hann(cfg.frame_length)
     mag = np.empty((len(frames), cfg.frame_length // 2 + 1))
     for start in range(0, len(frames), _STFT_BLOCK):
         stop = start + _STFT_BLOCK

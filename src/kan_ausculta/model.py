@@ -162,8 +162,15 @@ def parameters(m: HybridModel) -> dict[str, np.ndarray]:
     return _named(directions, [layer.coeffs for layer in m.kan.layers])
 
 
-def snapshot_parameters(m: HybridModel) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in parameters(m).items()}
+def snapshot_parameters(
+    m: HybridModel, out: dict[str, np.ndarray] | None = None
+) -> dict[str, np.ndarray]:
+    """A copy of every parameter; with ``out`` (an earlier snapshot of ``m``), written into it."""
+    if out is None:
+        return {name: arr.copy() for name, arr in parameters(m).items()}
+    for name, arr in parameters(m).items():
+        out[name][...] = arr
+    return out
 
 
 def restore_parameters(m: HybridModel, snapshot: dict[str, np.ndarray]) -> None:

@@ -3,12 +3,13 @@
 One fold runs:
 
 1. optional stage 1: pre-train on every minority-class training row plus
-   a capped random sample of the majority class;
+   a capped random sample of the majority class; its rows, scaler and
+   optimizer state are freed before stage 2 allocates its own;
 2. stage 2 epochs: (re-)augment training audio, extract features, optional
    SMOTE, fit a z-score scaler on the processed training features only,
    mini-batch updates with focal loss + AdamW, validate, step the plateau
-   scheduler and the early stopper (which snapshots the best model and its
-   scaler);
+   scheduler and the early stopper (which keeps the best epoch's scaler;
+   each improving epoch copies the parameters into one kept snapshot);
 3. return the best snapshot; its validation probabilities join the pooled
    out-of-fold arrays that produce the headline metrics.
 
@@ -309,6 +310,24 @@ def _macro_f1(y_true, probs, n_classes) -> float:
     return classification_metrics(cm).macro_f1
 
 
+def _pretrain(cfg: RunConfig, model, params, train_rows, class_names, source, fp, rng) -> None:
+    """Stage 1: train ``model`` in place on the minority rows plus a capped majority sample.
+
+    Returns nothing, so its subset, scaled rows, scaler and optimizer state
+    are freed before stage 2 allocates its own optimizer.
+    """
+    train = DatasetIndex(rows=train_rows, class_names=class_names)
+    majority = int(np.bincount(train.labels(), minlength=len(class_names)).argmax())
+    stage1 = build_stage1_subset(train, majority, cap=cfg.train.stage1_majority_cap, rng=rng)
+    X_s1 = source.base_features(stage1.rows)
+    scaler = Scaler.fit(X_s1, [row.split for row in stage1.rows])
+    X_s1 = scaler.transform(X_s1)
+    y_s1 = stage1.labels()
+    opt = adamw_init(params, cfg.optim.lr_stage1, cfg.optim)
+    for _ in range(cfg.train.stage1_epochs):
+        _train_one_epoch(model, params, X_s1, y_s1, fp, opt, cfg.train.batch_size, rng)
+
+
 def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_seq):
     class_names = tagged.class_names
     n_classes = len(class_names)
@@ -329,23 +348,7 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
     X_val = source.base_features(val_rows)
 
     if cfg.train.two_stage:
-        counts = np.bincount(y_train, minlength=n_classes)
-        majority = int(counts.argmax())
-        stage1 = build_stage1_subset(
-            DatasetIndex(rows=train_rows, class_names=class_names),
-            majority,
-            cap=cfg.train.stage1_majority_cap,
-            rng=rng_stage1,
-        )
-        X_s1 = source.base_features(stage1.rows)
-        y_s1 = stage1.labels()
-        scaler_s1 = Scaler.fit(X_s1, [row.split for row in stage1.rows])
-        X_s1 = scaler_s1.transform(X_s1)
-        opt_s1 = adamw_init(params, cfg.optim.lr_stage1, cfg.optim)
-        for _ in range(cfg.train.stage1_epochs):
-            _train_one_epoch(
-                model, params, X_s1, y_s1, fp, opt_s1, cfg.train.batch_size, rng_stage1
-            )
+        _pretrain(cfg, model, params, train_rows, class_names, source, fp, rng_stage1)
 
     opt = adamw_init(params, cfg.optim.lr_stage2, cfg.optim)
     sched = SchedulerState(lr=cfg.optim.lr_stage2, cfg=cfg.sched)
@@ -355,6 +358,7 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
     )
 
     history = []
+    best_params = None  # the early stopper keeps the best epoch's scaler, this its parameters
     static_augmented = None
     train_tags = [row.split for row in train_rows]
     for epoch in range(1, cfg.train.stage2_max_epochs + 1):
@@ -389,9 +393,9 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
         probs_val = _predict(model, scaler.transform(X_val))
         val_f1 = _macro_f1(y_val, probs_val, n_classes)
         plateau_step(sched, val_f1)
-        stop = early_stop(
-            stopper, val_f1, snapshot=(snapshot_parameters(model), scaler), epoch=epoch
-        )
+        stop = early_stop(stopper, val_f1, snapshot=scaler, epoch=epoch)
+        if stopper.best_epoch == epoch:
+            best_params = snapshot_parameters(model, out=best_params)
         history.append(
             {"epoch": epoch, "train_loss": float(train_loss), "val_macro_f1": float(val_f1), "lr": float(sched.lr)}
         )
@@ -399,7 +403,7 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
         if stop:
             break
 
-    best_params, best_scaler = stopper.best_snapshot
+    best_scaler = stopper.best_snapshot
     restore_parameters(model, best_params)
     probs_val = _predict(model, best_scaler.transform(X_val))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from kan_ausculta.dataset import DatasetIndex, IndexRow
@@ -61,3 +63,14 @@ def make_small_dataset(seed=0, d_feat=8, per_class=(40, 12, 10), spread=4.0):
             features.append(point)
             sample += 1
     return DatasetIndex(rows=rows, class_names=names), np.array(features)
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under ``tracemalloc``; returns (its result, the traced peak in bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -1,5 +1,4 @@
 import os
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +9,7 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from kan_ausculta import atomic as atomic_module
 from kan_ausculta import features as features_module
 from kan_ausculta.errors import ContractViolation, DataError, FingerprintError
@@ -17,11 +17,13 @@ from kan_ausculta.features import (
     AudioSignal,
     FeatureConfig,
     _bandpass_sos,
+    _bandpass_zi,
     _STFT_BLOCK,
     _chroma_folds,
     _delta,
     _fft_freqs,
     _frame,
+    _hann,
     _onset_from_mel,
     _peak,
     _pitch_classes,
@@ -283,12 +285,7 @@ class TestPreprocess:
         # handed the only reference to its input
         sig = AudioSignal(np.random.default_rng(61).normal(size=60 * SR), SR)
         preprocess(AudioSignal(sig.samples[:SR], SR), CFG)  # design and cache the band-pass
-        tracemalloc.start()
-        try:
-            out = preprocess(sig, CFG)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: preprocess(sig, CFG))
         assert out.samples.shape == sig.samples.shape
         assert peak < 2.5 * sig.samples.nbytes
 
@@ -300,11 +297,12 @@ class TestZeroPhase:
     @pytest.mark.parametrize("cfg", BAND_CONFIGS, ids=["default", "8k-wide"])
     @pytest.mark.parametrize("n", [1, 2, 27, 28, 29, 4096, 441_000])
     def test_equals_sosfiltfilt(self, cfg, n):
-        sos = _bandpass_sos(cfg.filter_order, cfg.band_low, cfg.band_high, cfg.sample_rate)
+        band = (cfg.filter_order, cfg.band_low, cfg.band_high, cfg.sample_rate)
+        sos = _bandpass_sos(*band)
         assert 3 * (2 * len(sos) + 1) == 27
         x = np.random.default_rng(n).normal(size=n)
         before = x.copy()
-        out = _zero_phase(sos, x)
+        out = _zero_phase(sos, _bandpass_zi(*band), x)
         expected = scipy.signal.sosfiltfilt(sos.copy(), x, padlen=min(27, n - 1))
         assert out.shape == (n,)
         np.testing.assert_array_equal(out, expected)
@@ -350,6 +348,18 @@ class TestResample:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         assert taps.shape == (20 * 441 + 1,)
+
+    def test_cached_filter_state_and_window_are_read_only_and_unchanged(self):
+        band = (CFG.filter_order, CFG.band_low, CFG.band_high, CFG.sample_rate)
+        zi = _bandpass_zi(*band)
+        window = _hann(CFG.frame_length)
+        for arr in (zi, window):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert zi.tobytes() == scipy.signal.sosfilt_zi(_bandpass_sos(*band).copy()).tobytes()
+        assert window.tobytes() == np.hanning(CFG.frame_length).tobytes()
+        assert _bandpass_zi(*band) is zi and _hann(CFG.frame_length) is window
 
 
 class TestMelStream:
@@ -489,12 +499,7 @@ class TestBlockedStreams:
         extract(AudioSignal(sig.samples[: 2 * SR], SR), layout)  # build the cached matrices
         n_frames = 1 + (len(sig.samples) - CFG.frame_length) // CFG.hop_length
         magnitude_bytes = n_frames * (CFG.frame_length // 2 + 1) * 8
-        tracemalloc.start()
-        try:
-            extract(sig, layout)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: extract(sig, layout))
         assert peak <= 2 * magnitude_bytes
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 import scipy.io.wavfile
 import scipy.signal
 
+from conftest import traced_peak
 from kan_ausculta import features as features_module
 from kan_ausculta import cli, imbalance, training
 from kan_ausculta.config import load_config
@@ -210,12 +210,7 @@ class TestSmoteChunking:
         # the full difference tensor would be 100 * 100 * 200 * 8 bytes = 16 MB
         pool = np.random.default_rng(0).normal(size=(100, 200))
         monkeypatch.setattr(imbalance, "_DISTANCE_CHUNK_BYTES", 2**20)
-        tracemalloc.start()
-        try:
-            imbalance._neighbor_indices(pool, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: imbalance._neighbor_indices(pool, 5))
         assert peak < 2 * 2**20
 
 

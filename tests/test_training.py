@@ -4,12 +4,13 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import make_small_dataset
+from conftest import make_small_dataset, traced_peak
 from kan_ausculta import training
 from kan_ausculta.config import load_config
 from kan_ausculta.errors import ContractViolation, ShapeError, TrainingAbort
 from kan_ausculta.features import FeatureConfig
 from kan_ausculta.imbalance import AugmentConfig, SmoteConfig, smote_resample
+from kan_ausculta.model import parameters
 from kan_ausculta.report import export, load_report
 from kan_ausculta.training import (
     ArrayFeatureSource,
@@ -184,6 +185,75 @@ class TestRunCv:
 
         with pytest.raises(ValueError):
             run_cv(cfg, DatasetIndex(rows=[], class_names=("a",)), source)
+
+
+class TestFoldState:
+    """What one fold copies and holds: one optimizer state and one best-epoch snapshot."""
+
+    def test_parameters_copied_once_per_improving_epoch(self, monkeypatch):
+        index, features = make_small_dataset()
+        source = ArrayFeatureSource([r.path for r in index.rows], features)
+        # at this seed fold 0 stops early with its best at epoch 2 and fold 1's
+        # best is epoch 6 of 10: 7 of 19 epochs improve
+        cfg = fast_config(**{"train.stage2_max_epochs": 10, "optim.lr_stage2": 0.03,
+                             "train.batch_size": 8})
+        improved, copies, predicted = [], [], []
+        real_early_stop = training.early_stop
+        real_snapshot = training.snapshot_parameters
+        real_predict = training._predict
+
+        def counting_early_stop(st, metric, snapshot=None, epoch=None):
+            before = st.best_epoch
+            stop = real_early_stop(st, metric, snapshot=snapshot, epoch=epoch)
+            improved.append(st.best_epoch != before)
+            return stop
+
+        def counting_snapshot(model, out=None):
+            result = real_snapshot(model, out=out)
+            assert out is None or result is out  # later copies reuse the kept arrays
+            copies.append(out is None)
+            return result
+
+        def recording_predict(model, X):
+            predicted.append({name: arr.copy() for name, arr in parameters(model).items()})
+            return real_predict(model, X)
+
+        monkeypatch.setattr(training, "early_stop", counting_early_stop)
+        monkeypatch.setattr(training, "snapshot_parameters", counting_snapshot)
+        monkeypatch.setattr(training, "_predict", recording_predict)
+        report, artifacts = run_cv(cfg, index, source)
+
+        assert any(f.best_epoch < f.epochs_run for f in report.folds)
+        assert len(copies) == sum(improved) < len(improved)
+        assert sum(copies) == cfg.folds  # one fresh copy per fold, then in place
+        # each epoch validates the model it trained, then the fold predicts once
+        # more with the restored best: that model must be the best epoch's bytes
+        start = 0
+        for fold, art in zip(report.folds, artifacts):
+            best = predicted[start + fold.best_epoch - 1]
+            restored = predicted[start + fold.epochs_run]
+            for name, arr in parameters(art.model).items():
+                assert arr.tobytes() == best[name].tobytes() == restored[name].tobytes()
+            start += fold.epochs_run + 1
+        assert start == len(predicted)
+
+    def test_fold_peak_admits_one_optimizer_state(self):
+        # d_feat near the audio layout's 1927, so the parameters dwarf the rows
+        index, features = make_small_dataset(seed=3, d_feat=2000)
+        source = ArrayFeatureSource([r.path for r in index.rows], features)
+        cfg = load_config(preset="full", overrides={
+            "seed": 4, "folds": 2, "train.stage1_epochs": 1, "train.stage2_max_epochs": 3,
+            "train.batch_size": 32,
+        })
+        assert cfg.train.two_stage
+        (_, artifacts), peak = traced_peak(lambda: run_cv(cfg, index, source))
+        param_bytes = sum(arr.nbytes for arr in parameters(artifacts[0].model).values())
+        # fold 1 holds fold 0's finished model, its own model, one AdamW m/v pair,
+        # the best-epoch snapshot and one gradient dict: six parameter sets. The
+        # margin of one more covers the feature rows, their SMOTE and scaled
+        # copies and the backward pass's temporaries. A stage-1 optimizer kept
+        # through stage 2 adds two.
+        assert peak < (6 + 1) * param_bytes
 
 
 class TestMetricBundle:
