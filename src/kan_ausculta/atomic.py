@@ -1,9 +1,11 @@
-"""Saved artifacts (checkpoint, feature cache, CSV): atomic replacement, guarded reading."""
+"""Saved artifacts (checkpoint, feature cache, CSV, run directory): atomic writes, guarded reads."""
 
 from __future__ import annotations
 
 import contextlib
 import os
+import shutil
+import tempfile
 import zipfile
 import zlib
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["atomic_write", "read_npz", "write_text"]
+__all__ = ["atomic_write", "read_npz", "staged_directory", "write_text"]
 
 
 @contextlib.contextmanager
@@ -37,6 +39,40 @@ def write_text(path, text: str) -> None:
     """Replace ``path`` with ``text``; a failed write or rename keeps the previous file."""
     with atomic_write(path) as staged, open(staged, "w") as fh:
         fh.write(text)
+
+
+@contextlib.contextmanager
+def staged_directory(out_dir):
+    """Yield an empty directory inside ``out_dir``; move its files into ``out_dir`` on success.
+
+    The caller writes one run's files into the yielded directory. When the
+    block succeeds, one rename pass moves them into ``out_dir``, replacing
+    files of the same name; a rename that fails part-way leaves the files
+    it already moved. When the block raises, ``out_dir`` gets none of the
+    files, and an ``out_dir`` this call made is removed again. The staging
+    directory is removed on every path, and an ``OSError`` raises
+    ``DataError`` naming ``out_dir``.
+    """
+    out_dir = Path(out_dir)
+    made = not out_dir.exists()
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".export-", dir=out_dir))
+    except OSError as exc:
+        raise DataError(f"cannot write to {out_dir}: {exc}") from exc
+    try:
+        yield staging
+        for staged in sorted(staging.iterdir()):
+            os.replace(staged, out_dir / staged.name)
+    except BaseException as exc:
+        shutil.rmtree(staging, ignore_errors=True)
+        if made:
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()  # only if empty: a rename may have moved files in
+        if isinstance(exc, OSError):
+            raise DataError(f"export to {out_dir} failed: {exc}") from exc
+        raise
+    staging.rmdir()
 
 
 @contextlib.contextmanager

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomic import write_text
+from .atomic import staged_directory, write_text
 from .config import PRESETS, load_config
 from .dataset import ingest
 from .errors import ContractViolation, DataError, TrainingAbort
@@ -186,24 +186,37 @@ def _audio_source(cfg, index, cache_file) -> AudioFeatureSource:
 
 
 def _train_once(cfg, index, source, out_dir: Path):
-    report, artifacts = run_cv(cfg, index, source)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """``run_cv``, then the report, its CSVs and every fold's checkpoint under ``out_dir``.
 
-    best = next(a for a in artifacts if a.fold == report.best_fold)
-    splines = export_splines(best.model.kan, cfg.spline_samples)
-    written = export(report, out_dir, spline_dump=splines)
-    for art in artifacts:
-        ckpt = out_dir / f"model_fold{art.fold}.npz"
-        save_checkpoint(
-            art.model,
-            ckpt,
-            fingerprint=source.fingerprint,
-            scaler_mean=art.scaler.mean,
-            scaler_scale=art.scaler.scale,
-            meta={"fold": art.fold, "preset": cfg.preset, "seed": cfg.seed},
-        )
-        written.append(str(ckpt))
-    return report, written
+    Each checkpoint is written to the staging directory when its fold ends,
+    so no finished fold's model outlives the fold; only its KAN is kept, for
+    the best fold's ``splines.csv``. All files move into ``out_dir`` in one
+    rename pass once the run has succeeded: a failed write (``DataError``,
+    naming the file) or a failed run leaves ``out_dir`` without any of them.
+    """
+    kans = {}
+    with staged_directory(out_dir) as staging:
+
+        def write_fold(art):
+            name = f"model_fold{art.fold}.npz"
+            try:
+                save_checkpoint(
+                    art.model,
+                    staging / name,
+                    fingerprint=source.fingerprint,
+                    scaler_mean=art.scaler.mean,
+                    scaler_scale=art.scaler.scale,
+                    meta={"fold": art.fold, "preset": cfg.preset, "seed": cfg.seed},
+                )
+            except OSError as exc:
+                raise DataError(f"cannot write {out_dir / name}: {exc}") from exc
+            kans[art.fold] = art.model.kan
+
+        report, _ = run_cv(cfg, index, source, write_fold)
+        splines = export_splines(kans[report.best_fold], cfg.spline_samples)
+        names = [Path(path).name for path in export(report, staging, spline_dump=splines)]
+    names += [f"model_fold{fold}.npz" for fold in kans]
+    return report, [str(out_dir / name) for name in names]
 
 
 # ----------------------------------------------------------------------------

@@ -18,7 +18,6 @@ addressing scheme, every tensor of which the forward pass reads:
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -208,10 +207,8 @@ def save_checkpoint(
     if scaler_mean is not None:
         arrays["scaler_mean"] = scaler_mean
         arrays["scaler_scale"] = scaler_scale
-    buf = io.BytesIO()
-    np.savez(buf, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
     with atomic_write(path) as staged, open(staged, "wb") as fh:
-        fh.write(buf.getvalue())
+        np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path, expected_fingerprint: str | None = None):

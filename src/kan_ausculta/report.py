@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from pathlib import Path
 
+from .atomic import staged_directory
 from .errors import DataError
 from .training import REPORT_VERSION, RunReport
 
@@ -98,16 +97,9 @@ def export(report: RunReport, out_dir, spline_dump: list | None = None) -> list:
     """Write report.json plus the CSV views (splines.csv from ``spline_dump``).
 
     Returns the written paths. Everything is staged in a temp directory
-    inside ``out_dir`` and renamed at the end, so either all files land or
-    none do.
+    inside ``out_dir`` and renamed at the end (``atomic.staged_directory``),
+    so a failed write raises ``DataError`` and no file lands.
     """
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=".export-", dir=out_dir))
-    except OSError as exc:
-        raise DataError(f"cannot write to {out_dir}: {exc}") from exc
-
     files = {
         "report.json": json.dumps(report.to_dict(), indent=2) + "\n",
         "confusion.csv": _confusion_csv(report),
@@ -117,21 +109,10 @@ def export(report: RunReport, out_dir, spline_dump: list | None = None) -> list:
     }
     if spline_dump is not None:
         files["splines.csv"] = splines_csv_text(spline_dump)
-
-    written = []
-    try:
+    with staged_directory(out_dir) as staging:
         for name, text in files.items():
             (staging / name).write_text(text)
-        for name in files:
-            os.replace(staging / name, out_dir / name)
-            written.append(str(out_dir / name))
-    except OSError as exc:
-        raise DataError(f"export to {out_dir} failed: {exc}") from exc
-    finally:
-        for leftover in staging.glob("*"):
-            leftover.unlink(missing_ok=True)
-        staging.rmdir()
-    return written
+    return [str(Path(out_dir) / name) for name in files]
 
 
 def load_report(path) -> RunReport:

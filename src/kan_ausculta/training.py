@@ -421,13 +421,19 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
     return report, probs_val, FoldArtifacts(fold=fold_idx, model=model, scaler=best_scaler)
 
 
-def run_cv(cfg: RunConfig, index: DatasetIndex, source):
+def run_cv(cfg: RunConfig, index: DatasetIndex, source, on_fold=None):
     """Cross-validate per the two-stage recipe; returns (RunReport, artifacts).
 
     Fully reproducible given (config, seed, dataset bytes). A failing fold
     is recorded in ``report.incomplete`` and excluded from pooling; the run
     aborts only if every fold fails. Programming errors (``ContractViolation``,
     ``ShapeError``, ``TypeError``, ``AttributeError``) propagate instead.
+
+    Each finished fold's ``FoldArtifacts`` goes to ``on_fold`` when the fold
+    ends, and ``run_cv`` keeps none of them, so the next fold runs without
+    the last one's model (``artifacts`` is then empty). Without ``on_fold``
+    they are collected and returned. An error ``on_fold`` raises propagates:
+    it is not a fold failure.
     """
     if len(index) == 0:
         raise ValueError("empty dataset index")
@@ -444,6 +450,8 @@ def run_cv(cfg: RunConfig, index: DatasetIndex, source):
 
     fold_reports = []
     artifacts = []
+    if on_fold is None:
+        on_fold = artifacts.append
     incomplete = []
     for fold in range(cfg.folds):
         tagged = index.with_folds(assignment.fold_of, fold)
@@ -456,10 +464,11 @@ def run_cv(cfg: RunConfig, index: DatasetIndex, source):
             incomplete.append({"fold": fold, "error": f"{type(exc).__name__}: {exc}"})
             continue
         fold_reports.append(report)
-        artifacts.append(art)
         val_positions = assignment.val_positions(fold)
         oof_probs[val_positions] = probs_val
         oof_mask[val_positions] = True
+        on_fold(art)
+        del art  # not held through the next fold
 
     if not fold_reports:
         raise TrainingAbort("all folds failed; see the incomplete list in the logs")

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import sys
@@ -8,14 +9,17 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
+from conftest import make_small_dataset, traced_peak
 from kan_ausculta import atomic as atomic_module
 from kan_ausculta import cli as cli_module
+from kan_ausculta import training
 from kan_ausculta.cli import main
 from kan_ausculta.config import load_config
 from kan_ausculta.dataset import ingest
-from kan_ausculta.errors import DataError
+from kan_ausculta.errors import ContractViolation, DataError
 from kan_ausculta.features import FeatureConfig
-from kan_ausculta.training import run_cv
+from kan_ausculta.model import load_checkpoint, parameters
+from kan_ausculta.training import ArrayFeatureSource, run_cv
 from test_config import BAD_SETTINGS
 
 SR = 22050
@@ -332,6 +336,106 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "splines")])
         assert code == 2
         assert "unreadable checkpoint" in capsys.readouterr().err
+
+
+RUN_FILES = ["calibration.csv", "confusion.csv", "folds.csv", "model_fold0.npz",
+             "model_fold1.npz", "per_class.csv", "report.json", "splines.csv"]
+
+
+class TestRunFiles:
+    """``train`` writes each checkpoint when its fold ends, staged with the run's other files."""
+
+    def train(self, corpus, config_file, out, seed=3):
+        audio, table = corpus
+        return main(["train", "--data", str(audio), "--diagnosis", str(table),
+                     "--config", str(config_file), "--out", str(out), "--seed", str(seed)])
+
+    def test_splines_csv_equals_export_splines_of_the_best_fold(self, corpus, config_file,
+                                                                tmp_path, capsys):
+        out = tmp_path / "run"
+        assert self.train(corpus, config_file, out) == 0
+        best = json.loads((out / "report.json").read_text())["best_fold"]
+        samples = load_config(path=str(config_file)).spline_samples
+        assert main(["export-splines", "--checkpoint", str(out / f"model_fold{best}.npz"),
+                     "--out", str(tmp_path / "exported"), "--samples", str(samples)]) == 0
+        exported = (tmp_path / "exported" / "splines.csv").read_bytes()
+        assert exported == (out / "splines.csv").read_bytes()
+
+    def test_failed_checkpoint_write_exits_2_and_lands_no_file(self, corpus, config_file,
+                                                               tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        assert self.train(corpus, config_file, out) == 0
+        previous = {p.name: p.read_bytes() for p in out.iterdir()}
+        real, calls = cli_module.save_checkpoint, []
+
+        def full_disk(model, path, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(model, path, **kwargs)
+
+        monkeypatch.setattr(cli_module, "save_checkpoint", full_disk)
+        assert self.train(corpus, config_file, out, seed=4) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(out / "model_fold1.npz") in err
+        # the earlier run's files are all there, unchanged, and nothing else is
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+    def fail_every_fold(self, monkeypatch):
+        def abort(*args, **kwargs):
+            raise FloatingPointError("diverged")
+
+        monkeypatch.setattr(training, "adamw_step", abort)
+
+    def leak_after_fold_0(self, monkeypatch):
+        real = training._run_fold
+
+        def run_fold(cfg, fold_idx, *args):
+            if fold_idx == 1:
+                raise ContractViolation("scaler fitting received a validation-tagged row")
+            return real(cfg, fold_idx, *args)
+
+        monkeypatch.setattr(training, "_run_fold", run_fold)
+
+    @pytest.mark.parametrize("outcome, code", [("success", 0), ("all folds fail", 3),
+                                               ("violation after fold 0", 3)])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_no_staging_leftovers(self, corpus, config_file, tmp_path, monkeypatch, outcome,
+                                  code, existing, capsys):
+        out = tmp_path / "run"
+        if existing:
+            out.mkdir()
+            (out / "notes.txt").write_text("kept\n")
+        if outcome == "all folds fail":
+            self.fail_every_fold(monkeypatch)
+        elif outcome == "violation after fold 0":
+            self.leak_after_fold_0(monkeypatch)
+        assert self.train(corpus, config_file, out) == code
+        expected = (["notes.txt"] if existing else []) + (RUN_FILES if code == 0 else [])
+        if not existing and code != 0:
+            assert not out.exists()  # the failed run made it and took it away again
+        else:
+            assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+
+    def test_peak_holds_no_finished_fold_model(self, tmp_path):
+        # d_feat near the audio layout's 1927, so the parameters dwarf the rows
+        index, features = make_small_dataset(seed=3, d_feat=2000)
+        source = ArrayFeatureSource([r.path for r in index.rows], features)
+        cfg = load_config(preset="full", overrides={
+            "seed": 4, "folds": 3, "train.stage1_epochs": 1, "train.stage2_max_epochs": 3,
+            "train.batch_size": 32,
+        })
+        out = tmp_path / "run"
+        (report, written), peak = traced_peak(
+            lambda: cli_module._train_once(cfg, index, source, out))
+        assert not report.incomplete and len(written) == 6 + cfg.folds
+        model = load_checkpoint(out / "model_fold0.npz")[0]
+        param_bytes = sum(arr.nbytes for arr in parameters(model).values())
+        # the last fold holds its model, one AdamW m/v pair, the best-epoch
+        # snapshot and one gradient dict: five parameter sets, plus the rows and
+        # the backward pass's temporaries. Each earlier fold's model kept to the
+        # end adds one more.
+        assert peak < 6 * param_bytes
 
 
 class TestExtractParallel:

@@ -227,6 +227,9 @@ class TestCheckpoint:
                 def __exit__(self, *exc):
                     self.fh.close()
 
+                def __getattr__(self, name):  # seek, tell, flush: the archive writer uses them
+                    return getattr(self.fh, name)
+
                 def write(self, data):
                     self.fh.write(data[: len(data) // 2])
                     raise OSError("no space left on device")

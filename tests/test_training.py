@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +127,43 @@ class TestRunCv:
         other_cfg = fast_config(seed=99)
         other, _ = run_cv(other_cfg, index, source)
         assert other.to_dict() != report.to_dict()
+
+    def test_on_fold_gets_each_fold_and_run_cv_keeps_none(self, small_run):
+        cfg, index, source, report, artifacts = small_run
+        handed = []
+        again, kept = run_cv(cfg, index, source, handed.append)
+        assert kept == []
+        assert again.to_dict() == report.to_dict()
+        assert [art.fold for art in handed] == [art.fold for art in artifacts]
+        for got, want in zip(handed, artifacts):
+            assert got.scaler.mean.tobytes() == want.scaler.mean.tobytes()
+            for name, arr in parameters(got.model).items():
+                assert arr.tobytes() == parameters(want.model)[name].tobytes()
+
+    def test_a_handed_over_model_is_freed_before_the_next_fold(self, small_run, monkeypatch):
+        cfg, index, source, _, _ = small_run
+        models, alive_at_start = [], []
+        real = training._run_fold
+
+        def run_fold(*args):
+            alive_at_start.append([ref() is not None for ref in models])
+            return real(*args)
+
+        monkeypatch.setattr(training, "_run_fold", run_fold)
+        run_cv(cfg, index, source, lambda art: models.append(weakref.ref(art.model)))
+        assert alive_at_start == [[], [False]]
+
+    def test_an_on_fold_error_propagates_and_is_not_a_fold_failure(self, small_run):
+        cfg, index, source, _, _ = small_run
+        handed = []
+
+        def write(art):
+            handed.append(art.fold)
+            raise OSError("no space left on device")
+
+        with pytest.raises(OSError, match="no space"):
+            run_cv(cfg, index, source, write)
+        assert handed == [0]  # no later fold ran
 
     def test_oof_pool_covers_every_sample(self, small_run):
         cfg, index, _, report, _ = small_run
