@@ -80,9 +80,10 @@ def read_npz(path, what: str):
     """Yield the ``.npz`` archive at ``path``, open for the block.
 
     The file is closed however ``np.load`` fails. A file holding no archive
-    (random bytes, a bare ``.npy``) or pickled arrays, and an ``OSError``,
-    ``ValueError`` or ``KeyError`` in the block, raise
-    ``DataError("unreadable <what> <path>: ...")``.
+    (random bytes, a bare ``.npy``) or pickled arrays, a member ``zipfile``
+    cannot decode (``NotImplementedError``: an encryption flag or an unknown
+    compression method), and an ``OSError``, ``ValueError`` or ``KeyError``
+    in the block, raise ``DataError("unreadable <what> <path>: ...")``.
     """
     try:
         with open(path, "rb") as fh:
@@ -91,5 +92,6 @@ def read_npz(path, what: str):
                 raise ValueError("not an .npz archive")
             with data:
                 yield data
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
+    except (OSError, EOFError, ValueError, KeyError, NotImplementedError, zipfile.BadZipFile,
+            zlib.error) as exc:
         raise DataError(f"unreadable {what} {path}: {exc}") from exc

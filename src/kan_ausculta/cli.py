@@ -8,7 +8,8 @@ Subcommands:
     export-splines  sample the learned edge functions from a checkpoint
     gradcheck       verify analytic gradients against finite differences
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error (including a file
+that cannot be read or written), 3 numerical failure.
 The feature cache location can be overridden with KAN_AUSCULTA_CACHE.
 """
 
@@ -189,12 +190,11 @@ def _train_once(cfg, index, source, out_dir: Path):
     """``run_cv``, then the report, its CSVs and every fold's checkpoint under ``out_dir``.
 
     Each checkpoint is written to the staging directory when its fold ends,
-    so no finished fold's model outlives the fold; only its KAN is kept, for
-    the best fold's ``splines.csv``. All files move into ``out_dir`` in one
-    rename pass once the run has succeeded: a failed write (``DataError``,
-    naming the file) or a failed run leaves ``out_dir`` without any of them.
+    so no finished fold's model outlives the fold. All files move into
+    ``out_dir`` in one rename pass once the run has succeeded: a failed write
+    (``DataError``, naming the file) or a failed run leaves ``out_dir``
+    without any of them.
     """
-    kans = {}
     with staged_directory(out_dir) as staging:
 
         def write_fold(art):
@@ -210,12 +210,10 @@ def _train_once(cfg, index, source, out_dir: Path):
                 )
             except OSError as exc:
                 raise DataError(f"cannot write {out_dir / name}: {exc}") from exc
-            kans[art.fold] = art.model.kan
 
         report, _ = run_cv(cfg, index, source, write_fold)
-        splines = export_splines(kans[report.best_fold], cfg.spline_samples)
-        names = [Path(path).name for path in export(report, staging, spline_dump=splines)]
-    names += [f"model_fold{fold}.npz" for fold in kans]
+        names = [Path(path).name for path in export(report, staging)]
+    names += [f"model_fold{f.fold}.npz" for f in report.folds]
     return report, [str(out_dir / name) for name in names]
 
 
@@ -363,7 +361,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # an OSError is a file that cannot be read or written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (TrainingAbort, ContractViolation, FloatingPointError) as exc:

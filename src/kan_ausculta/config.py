@@ -63,7 +63,6 @@ class RunConfig:
     preset: str = "full"
     min_class_count: int = 10
     calibration_bins: int = 10
-    spline_samples: int = 41
     features: FeatureConfig = field(default_factory=FeatureConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     focal: FocalParams = field(default_factory=FocalParams)
@@ -85,8 +84,6 @@ class RunConfig:
             raise ValueError("sched.min_lr must not exceed optim.lr_stage2")
         if self.calibration_bins < 1:
             raise ValueError("calibration_bins must be >= 1")
-        if self.spline_samples < 2:
-            raise ValueError("spline_samples must be >= 2")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
 
@@ -99,7 +96,6 @@ _KEY_TABLE = {
     "preset": (None, "preset", str),
     "data.min_class_count": (None, "min_class_count", int),
     "eval.calibration_bins": (None, "calibration_bins", int),
-    "eval.spline_samples": (None, "spline_samples", int),
     "features.sample_rate": ("features", "sample_rate", int),
     "features.band_low": ("features", "band_low", float),
     "features.band_high": ("features", "band_high", float),
@@ -139,7 +135,6 @@ _KEY_TABLE = {
     "augment.noise_level": ("augment", "noise_level", float),
     "augment.max_shift_fraction": ("augment", "max_shift_fraction", float),
     "augment.pitch_semitones": ("augment", "pitch_range_semitones", float),
-    "augment.per_epoch": ("augment", "per_epoch", bool),
     "smote.enabled": ("smote", "enabled", bool),
     "smote.k": ("smote", "k", int),
     "smote.target_ratio": ("smote", "target_ratio", float),

@@ -390,8 +390,12 @@ def mfcc_from_mel(mel: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     return np.vstack([cepstra, d1, d2])
 
 
-def _delta(rows: np.ndarray, half_window: int = 2) -> np.ndarray:
-    """Regression-slope delta over a +/- half_window frame neighborhood."""
+_DELTA_HALF_WINDOW = 2
+
+
+def _delta(rows: np.ndarray) -> np.ndarray:
+    """Regression-slope delta over a +/- ``_DELTA_HALF_WINDOW`` frame neighborhood."""
+    half_window = _DELTA_HALF_WINDOW
     padded = np.pad(rows, ((0, 0), (half_window, half_window)), mode="edge")
     denom = 2.0 * sum(n * n for n in range(1, half_window + 1))
     out = np.zeros_like(rows)

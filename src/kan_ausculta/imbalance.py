@@ -73,7 +73,6 @@ class AugmentConfig:
     class_pitch_range: dict = field(
         default_factory=lambda: {"URTI": 1.0, "Bronchiolitis": 1.0, "Pneumonia": 1.5}
     )
-    per_epoch: bool = True  # re-augment (and re-extract) every epoch
 
     def __post_init__(self):
         probs = [self.base_probability, *self.class_probability.values()]
@@ -224,16 +223,19 @@ def circular_shift(samples: np.ndarray, shift: int) -> np.ndarray:
     return np.roll(samples, shift)
 
 
-def time_stretch(
-    samples: np.ndarray, rate: float, frame: int = 1024, search: int = 256
-) -> np.ndarray:
+_STRETCH_FRAME = 1024
+_STRETCH_SEARCH = 256
+
+
+def time_stretch(samples: np.ndarray, rate: float) -> np.ndarray:
     """Overlap-add time stretch by ``rate`` (>1 lengthens) preserving pitch.
 
-    Waveform-similarity variant: each analysis frame is picked near its
-    nominal position but shifted (within ``search`` samples) to best
-    continue the previously written frame, so periodic content stays
-    phase-coherent instead of smearing.
+    Waveform-similarity variant: each analysis frame (``_STRETCH_FRAME``
+    samples) is picked near its nominal position but shifted (within
+    ``_STRETCH_SEARCH`` samples) to best continue the previously written
+    frame, so periodic content stays phase-coherent instead of smearing.
     """
+    frame, search = _STRETCH_FRAME, _STRETCH_SEARCH
     if rate <= 0:
         raise ValueError("rate must be positive")
     n_out = max(1, int(round(len(samples) * rate)))
@@ -331,14 +333,12 @@ def build_stage1_subset(
     index: DatasetIndex,
     majority_class: int,
     cap: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> DatasetIndex:
     """All minority-class rows plus a seeded sample of at most ``cap`` majority rows."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     _guard_train_only([row.split for row in index.rows], "build_stage1_subset")
-    if rng is None:
-        rng = np.random.default_rng(0)
     minority = [row for row in index.rows if row.label != majority_class]
     majority = [row for row in index.rows if row.label == majority_class]
     if not majority:

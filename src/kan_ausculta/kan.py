@@ -149,13 +149,12 @@ def kan_network_init(
     dims: list[int],
     grid: KnotVector,
     rng: np.random.Generator,
-    scale: float | None = None,
 ) -> KanNetwork:
     """Initialize a chain of layers with widths ``dims[0] -> ... -> dims[-1]``."""
     if len(dims) < 2:
         raise ValueError("need at least input and output widths")
     layers = [
-        kan_init(dims[i], dims[i + 1], grid, scale=scale, rng=rng)
+        kan_init(dims[i], dims[i + 1], grid, rng=rng)
         for i in range(len(dims) - 1)
     ]
     return KanNetwork(layers=layers)

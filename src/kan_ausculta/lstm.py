@@ -13,8 +13,7 @@ product and the forget gate drop out, leaving a closed form:
 
 Gate layout: the input and bias tensors stack the four gates as
 contiguous blocks in the order (input, forget, cell, output), i.e. a hidden
-size H yields stacked shapes (4H, d_in) and (4H,). Per-gate slices are
-exposed as views via :meth:`LstmWeights.gate_block`. A step from zero state
+size H yields stacked shapes (4H, d_in) and (4H,). A step from zero state
 never reads a recurrent matrix, so a direction holds none. The forget block
 stays a parameter (checkpoints keep it and weight decay moves it), but its
 gradients are exact zeros.
@@ -35,7 +34,6 @@ import numpy as np
 from .errors import ContractViolation, ShapeError
 
 __all__ = [
-    "GATE_ORDER",
     "LstmWeights",
     "BiLstm",
     "EncodeCache",
@@ -44,8 +42,6 @@ __all__ = [
     "bilstm_encode",
     "bilstm_backward",
 ]
-
-GATE_ORDER = ("input", "forget", "cell", "output")
 
 
 def _sigmoid(x):
@@ -69,13 +65,6 @@ class LstmWeights:
     @property
     def input_size(self) -> int:
         return self.w_x.shape[1]
-
-    def gate_block(self, tensor: str, gate: str) -> np.ndarray:
-        """View of one gate's slice of ``w_x`` or ``bias``."""
-        h = self.hidden_size
-        g = GATE_ORDER.index(gate)
-        arr = {"w_x": self.w_x, "bias": self.bias}[tensor]
-        return arr[g * h : (g + 1) * h]
 
 
 @dataclass

@@ -94,18 +94,14 @@ def build_model(
     class_count: int,
     rng: np.random.Generator,
     cfg: ModelConfig | None = None,
-    kan_init_scale: float | None = None,
 ) -> HybridModel:
     """Assemble the architecture of ``cfg`` around a discovered feature width.
 
-    ``cfg`` defaults to ``ModelConfig()``, the paper's sizes;
-    ``kan_init_scale`` overrides ``kan_init``'s coefficient scale.
+    ``cfg`` defaults to ``ModelConfig()``, the paper's sizes.
     """
     cfg = cfg or ModelConfig()
     encoder = bilstm_init(d_feat, cfg.lstm_hidden, cfg.dropout, rng)
-    kan = kan_network_init(
-        [2 * cfg.lstm_hidden, cfg.kan_hidden, class_count], cfg.grid(), rng, scale=kan_init_scale
-    )
+    kan = kan_network_init([2 * cfg.lstm_hidden, cfg.kan_hidden, class_count], cfg.grid(), rng)
     return HybridModel(encoder=encoder, kan=kan)
 
 

@@ -296,20 +296,22 @@ def early_stop(st: EarlyStopState, metric: float, snapshot=None, epoch: int | No
     return st.stale >= st.patience
 
 
-def _coord_choices(name: str, arr: np.ndarray, per_tensor: int, rng) -> list[tuple]:
-    """Flat coordinates to probe; LSTM tensors get at least one per gate block."""
+_COORDS_PER_TENSOR = 4
+
+
+def _coord_choices(name: str, arr: np.ndarray, rng) -> list[tuple]:
+    """Flat coordinates to probe: ``_COORDS_PER_TENSOR``, or one per LSTM gate block."""
     size = arr.size
     if name.startswith("lstm.") and arr.shape[0] % 4 == 0:
         block = arr.shape[0] // 4
         row_stride = size // arr.shape[0]
         picks = []
         for gate in range(4):
-            for _ in range(max(1, per_tensor // 4)):
-                row = gate * block + int(rng.integers(block))
-                offset = int(rng.integers(row_stride)) if row_stride > 1 else 0
-                picks.append(row * row_stride + offset)
+            row = gate * block + int(rng.integers(block))
+            offset = int(rng.integers(row_stride)) if row_stride > 1 else 0
+            picks.append(row * row_stride + offset)
         return [np.unravel_index(p, arr.shape) for p in picks]
-    n = min(per_tensor, size)
+    n = min(_COORDS_PER_TENSOR, size)
     flat = rng.choice(size, size=n, replace=False)
     return [np.unravel_index(int(p), arr.shape) for p in flat]
 
@@ -321,7 +323,6 @@ def finite_diff_check(
     h: float = 1e-5,
     fp: FocalParams | None = None,
     rng: np.random.Generator | None = None,
-    coords_per_tensor: int = 4,
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
@@ -350,7 +351,7 @@ def finite_diff_check(
     atol = 1e-8
     worst = 0.0
     for name, arr in params.items():
-        for coord in _coord_choices(name, arr, coords_per_tensor, rng):
+        for coord in _coord_choices(name, arr, rng):
             original = arr[coord]
             arr[coord] = original + h
             up = loss_at()

@@ -93,8 +93,8 @@ def splines_csv_text(splines) -> str:
     return "".join(lines)
 
 
-def export(report: RunReport, out_dir, spline_dump: list | None = None) -> list:
-    """Write report.json plus the CSV views (splines.csv from ``spline_dump``).
+def export(report: RunReport, out_dir) -> list:
+    """Write report.json plus its CSV views.
 
     Returns the written paths. Everything is staged in a temp directory
     inside ``out_dir`` and renamed at the end (``atomic.staged_directory``),
@@ -107,8 +107,6 @@ def export(report: RunReport, out_dir, spline_dump: list | None = None) -> list:
         "folds.csv": _folds_csv(report),
         "calibration.csv": _calibration_csv(report),
     }
-    if spline_dump is not None:
-        files["splines.csv"] = splines_csv_text(spline_dump)
     with staged_directory(out_dir) as staging:
         for name, text in files.items():
             (staging / name).write_text(text)
@@ -118,8 +116,9 @@ def export(report: RunReport, out_dir, spline_dump: list | None = None) -> list:
 def load_report(path) -> RunReport:
     """Read ``report.json`` back into the ``RunReport`` that ``export`` wrote.
 
-    JSON that is not an object, a version other than ``REPORT_VERSION`` and
-    a missing or unknown key raise ``DataError``, as an unreadable file does.
+    JSON that is not an object or nests too deeply to parse, a version other
+    than ``REPORT_VERSION`` and a missing or unknown key raise ``DataError``,
+    as an unreadable file does.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -128,5 +127,5 @@ def load_report(path) -> RunReport:
         if data.get("version") != REPORT_VERSION:
             raise ValueError(f"version {data.get('version')!r}, expected {REPORT_VERSION}")
         return RunReport.from_dict(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"cannot load report {path}: {exc}") from exc

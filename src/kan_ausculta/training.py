@@ -78,7 +78,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 @dataclass
@@ -220,7 +220,6 @@ class RunReport:
     summary: dict  # fold-level mean/std rows
     pooled: MetricBundle
     best_fold: int
-    spline_dump: str  # artifact holding the best fold's edge curves
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -359,16 +358,10 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
 
     history = []
     best_params = None  # the early stopper keeps the best epoch's scaler, this its parameters
-    static_augmented = None
     train_tags = [row.split for row in train_rows]
     for epoch in range(1, cfg.train.stage2_max_epochs + 1):
         if cfg.augment.enabled:
-            if cfg.augment.per_epoch or static_augmented is None:
-                X_train = source.epoch_features(train_rows, rng_aug, cfg.augment, class_names)
-                if not cfg.augment.per_epoch:
-                    static_augmented = X_train
-            else:
-                X_train = static_augmented
+            X_train = source.epoch_features(train_rows, rng_aug, cfg.augment, class_names)
         else:
             X_train = source.base_features(train_rows)
 
@@ -502,6 +495,5 @@ def run_cv(cfg: RunConfig, index: DatasetIndex, source, on_fold=None):
         summary=summary,
         pooled=pooled,
         best_fold=fold_reports[best_fold].fold,
-        spline_dump="splines.csv",
     )
     return report, artifacts

@@ -35,12 +35,14 @@ BAD_SETTINGS = [
     ("train.stage1_epochs", "-3"),
     ("data.min_class_count", "0"),
     ("eval.calibration_bins", "0"),
-    ("eval.spline_samples", "1"),
     ("jobs", "0"),
     ("jobs", "-3"),
     ("features.frame_length", "0"),
     ("features.hop_length", "0"),
 ]
+
+# keys of older releases, refused as unknown when the config is loaded
+REMOVED_KEYS = [("eval.spline_samples", "1"), ("augment.per_epoch", "false")]
 
 # config_echo(load_config(preset="full")): every key of report.json's config echo, in order
 FULL_ECHO = [
@@ -50,7 +52,6 @@ FULL_ECHO = [
     ("preset", "full"),
     ("min_class_count", 10),
     ("calibration_bins", 10),
-    ("spline_samples", 41),
     ("features.sample_rate", 22050),
     ("features.band_low", 100.0),
     ("features.band_high", 2000.0),
@@ -99,7 +100,6 @@ FULL_ECHO = [
     ("augment.class_pitch_range.Bronchiolitis", 1.0),
     ("augment.class_pitch_range.Pneumonia", 1.5),
     ("augment.class_pitch_range.URTI", 1.0),
-    ("augment.per_epoch", True),
     ("smote.enabled", True),
     ("smote.k", 5),
     ("smote.target_ratio", 0.5),
@@ -199,10 +199,17 @@ class TestConfigFile:
         cfg = load_config(overrides={key: "0"})
         assert cfg.augment.pitch_range_for("URTI" if key.endswith("URTI") else None) == 0.0
 
-    @pytest.mark.parametrize("key, value", BAD_SETTINGS)
+    @pytest.mark.parametrize("key, value", BAD_SETTINGS + REMOVED_KEYS)
     def test_bad_setting_rejected_at_load(self, key, value):
         with pytest.raises(ValueError):
             load_config(overrides={key: value})
+
+    @pytest.mark.parametrize("key, value", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, tmp_path, key, value):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            load_config(path=path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

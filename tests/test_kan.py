@@ -202,7 +202,8 @@ class TestNetwork:
 
 class TestExportSplines:
     def test_zero_network_all_curves_zero(self):
-        net = kan_network_init([3, 2], GRID, np.random.default_rng(0), scale=0.0)
+        net = kan_network_init([3, 2], GRID, np.random.default_rng(0))
+        net.layers[0].coeffs[...] = 0.0
         [(_, phi)] = export_splines(net, 17)
         assert phi.shape[:2] == (2, 3)  # 6 curves
         assert np.all(phi == 0)

@@ -209,8 +209,8 @@ class TestCellStep:
 
     def test_forget_bias_initialized_to_one(self):
         w = lstm_init(3, 4, np.random.default_rng(1))
-        assert np.all(w.gate_block("bias", "forget") == 1.0)
-        assert np.all(w.gate_block("bias", "input") == 0.0)
+        # gate blocks stack as (input, forget, cell, output), H = 4 rows each
+        np.testing.assert_array_equal(w.bias, np.repeat([0.0, 1.0, 0.0, 0.0], 4))
 
     def test_shape_mismatch(self):
         w = zero_weights(3, 4)

@@ -24,14 +24,14 @@ from kan_ausculta.model import (
 from kan_ausculta.optim import FocalParams, OptimConfig, adamw_init, adamw_step, finite_diff_check
 
 
-def small_model(seed=0, d_feat=5, classes=4, kan_init_scale=None, **sizes):
+def small_model(seed=0, d_feat=5, classes=4, **sizes):
     cfg = ModelConfig(**{"lstm_hidden": 4, "kan_hidden": 5, "dropout": 0.0, **sizes})
-    return build_model(d_feat, classes, np.random.default_rng(seed), cfg, kan_init_scale)
+    return build_model(d_feat, classes, np.random.default_rng(seed), cfg)
 
 
 class TestForward:
     def test_zero_kan_coefficients_give_zero_logits(self):
-        m = small_model(kan_init_scale=0.0)
+        m = small_model()
         for layer in m.kan.layers:
             layer.coeffs[...] = 0.0
         logits, _ = model_forward(m, np.random.default_rng(1).normal(size=5))

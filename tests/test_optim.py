@@ -341,7 +341,7 @@ class TestEarlyStop:
 class TestFiniteDiffCheck:
     def test_zero_model_passes_trivially(self):
         sizes = ModelConfig(lstm_hidden=3, kan_hidden=3, dropout=0.0)
-        m = build_model(4, 3, np.random.default_rng(0), sizes, kan_init_scale=0.0)
+        m = build_model(4, 3, np.random.default_rng(0), sizes)
         for layer in m.kan.layers:
             layer.coeffs[...] = 0.0
         err = finite_diff_check(m, np.zeros(4), 0)

@@ -70,8 +70,7 @@ def make_report():
                "accuracy_std": 0.0}
     return RunReport(version=REPORT_VERSION, config=config_echo(RunConfig()), seed=7,
                      class_names=["a", "b", "c"], d_feat=8, fingerprint="abc", fold_sizes=[6],
-                     folds=[fold], incomplete=[], summary=summary, pooled=metrics, best_fold=0,
-                     spline_dump="splines.csv")
+                     folds=[fold], incomplete=[], summary=summary, pooled=metrics, best_fold=0)
 
 
 def assert_same_leaves(got, want, where="report"):
@@ -106,21 +105,24 @@ class TestReportJson:
         text = (tmp_path / "report.json").read_text()
         assert json.loads(text, parse_constant=refuse) == report.to_dict()
 
-    @pytest.mark.parametrize("damage", ["version", "not-object", "missing", "unknown",
-                                        "missing-nested"])
+    @pytest.mark.parametrize("damage", ["version", "v1", "not-object", "missing", "unknown",
+                                        "missing-nested", "deep"])
     def test_unloadable_report_raises_data_error(self, tmp_path, damage):
         data = make_report().to_dict()
         if damage == "version":
             data["version"] = REPORT_VERSION + 1
+        elif damage == "v1":  # version 1 also held a spline_dump key
+            data.update(version=1, spline_dump="splines.csv")
         elif damage == "not-object":
             data = [data]
         elif damage == "missing":
-            del data["spline_dump"]
+            del data["best_fold"]
         elif damage == "unknown":
             data["pooled"]["extra"] = 1
         else:
             del data["folds"][0]["metrics"]["accuracy"]
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(data))
+        # nesting deeper than the parser's recursion limit
+        path.write_text("[" * 100000 if damage == "deep" else json.dumps(data))
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_report(path)

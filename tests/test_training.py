@@ -209,7 +209,7 @@ class TestRunCv:
     def test_array_source_warns_once_per_source(self, caplog):
         index, features = make_small_dataset()
         cfg = fast_config(**{"train.stage2_max_epochs": 2})
-        assert cfg.augment.enabled and cfg.augment.per_epoch
+        assert cfg.augment.enabled
         paths = [r.path for r in index.rows]
         with caplog.at_level(logging.WARNING, logger="kan_ausculta.training"):
             for _ in range(2):
@@ -309,15 +309,11 @@ class TestMetricBundle:
 
 class TestExportRoundTrip:
     def test_report_json_round_trips_to_equality(self, small_run, tmp_path):
-        _, _, _, report, artifacts = small_run
-        from kan_ausculta.kan import export_splines
-
-        dump = export_splines(artifacts[0].model.kan, 9)
-        written = export(report, tmp_path, spline_dump=dump)
+        _, _, _, report, _ = small_run
+        written = export(report, tmp_path)
         names = {p.split("/")[-1] for p in written}
         assert names == {
-            "report.json", "confusion.csv", "per_class.csv", "folds.csv",
-            "calibration.csv", "splines.csv",
+            "report.json", "confusion.csv", "per_class.csv", "folds.csv", "calibration.csv",
         }
         loaded = load_report(tmp_path / "report.json")
         assert loaded == report
@@ -338,16 +334,6 @@ class TestExportRoundTrip:
         for line in lines:
             cells = line.split(",")
             assert sum(int(v) for v in cells[1:]) == supports[cells[0]]
-
-    def test_splines_csv_structure(self, small_run, tmp_path):
-        _, _, _, report, artifacts = small_run
-        from kan_ausculta.kan import export_splines
-
-        dump = export_splines(artifacts[0].model.kan, 5)
-        export(report, tmp_path, spline_dump=dump)
-        lines = (tmp_path / "splines.csv").read_text().strip().splitlines()
-        assert lines[0] == "layer,out_index,in_index,x,phi"
-        assert len(lines) == 1 + sum(phi[..., 0].size for _, phi in dump) * 5
 
     def test_unwritable_path_fails_without_partials(self, small_run, tmp_path):
         _, _, _, report, _ = small_run
