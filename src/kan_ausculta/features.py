@@ -237,20 +237,23 @@ def _bandpass_zi(order: int, low: float, high: float, sample_rate: int) -> np.nd
     return zi
 
 
-def _zero_phase(sos: np.ndarray, zi: np.ndarray, samples: np.ndarray) -> np.ndarray:
+def _zero_phase(sos: np.ndarray, zi: np.ndarray, signal: list) -> np.ndarray:
     """``sosfiltfilt`` with ``padlen=min(3 * (2 * len(sos) + 1), n - 1)``, bit for bit.
 
-    ``zi`` is ``sosfilt_zi(sos)``, scaled here by each pass's first sample.
-    The same odd extension, initial conditions and two ``sosfilt`` passes,
-    but the extended input is freed as soon as the forward pass has read
-    it: besides ``samples`` the filter holds two arrays of the extended
+    ``signal`` is a one-element list holding the samples; it is emptied, so
+    when it held the only reference the samples are freed as soon as their
+    odd extension is built. ``zi`` is ``sosfilt_zi(sos)``, scaled here by
+    each pass's first sample. The same odd extension, initial conditions and
+    two ``sosfilt`` passes, but the extended input is freed as soon as the
+    forward pass has read it: the filter holds two arrays of the extended
     length at a time (the extension and the forward pass, then the forward
-    and the backward pass), where ``sosfiltfilt`` holds all three through
-    its backward pass. Returns a reversed view of the backward pass with the
-    padding cut off.
+    and the backward pass), where ``sosfiltfilt`` holds the samples and all
+    three through its backward pass. Returns a reversed view of the backward
+    pass with the padding cut off.
     """
     import scipy.signal
 
+    samples = signal.pop()
     n = len(samples)
     pad = min(3 * (2 * len(sos) + 1), n - 1)
     ext = np.empty(n + 2 * pad)
@@ -258,6 +261,7 @@ def _zero_phase(sos: np.ndarray, zi: np.ndarray, samples: np.ndarray) -> np.ndar
     if pad:
         ext[:pad] = 2 * samples[0] - samples[pad:0:-1]
         ext[pad + n :] = 2 * samples[-1] - samples[-2 : -(pad + 2) : -1]
+    del samples
     sos = sos.copy()  # sosfilt rejects a read-only sos, like the cached one
     forward, _ = scipy.signal.sosfilt(sos, ext, zi=zi * ext[0])
     del ext
@@ -275,10 +279,10 @@ def preprocess(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()) -> AudioS
 
     What stays alive: ``sig`` is read and dropped, so a caller that passes
     ``read_wav(path)`` straight in frees the decoded source-rate signal as
-    soon as it is resampled. The band-pass then holds the resampled signal
-    and two filter buffers (see ``_zero_phase``), and the resampled signal
-    is dropped before the peak normalisation, which holds the filtered
-    signal and its normalised copy.
+    soon as it is resampled. The band-pass is handed the only reference to
+    the resampled signal and drops it once its odd extension is built, so it
+    holds two filter buffers (see ``_zero_phase``); the peak normalisation
+    then holds the filtered signal and its normalised copy.
     """
     samples = np.asarray(sig.samples, dtype=float)
     source_rate = sig.sample_rate
@@ -290,8 +294,9 @@ def preprocess(sig: AudioSignal, cfg: FeatureConfig = FeatureConfig()) -> AudioS
         samples = resample(samples, ratio.numerator, ratio.denominator)
 
     band = (cfg.filter_order, cfg.band_low, cfg.band_high, cfg.sample_rate)
-    filtered = _zero_phase(_bandpass_sos(*band), _bandpass_zi(*band), samples)
+    signal = [samples]
     del samples
+    filtered = _zero_phase(_bandpass_sos(*band), _bandpass_zi(*band), signal)
     peak = _peak(filtered)
     if peak > 0:
         filtered = filtered / peak

@@ -168,6 +168,12 @@ def smote_resample(
 
     Originals are always retained; the combined set is deterministically
     shuffled. Classes with fewer than 2 samples are skipped with a warning.
+
+    The result is the originals followed by each class's synthetic rows,
+    permuted by ``rng.permutation``, but each row is written straight into
+    its shuffled place in one preallocated output: besides ``features``
+    this holds the synthetic rows and the output, never a concatenated
+    copy. The output is a new array the caller may modify.
     """
     _guard_train_only(split_tags, "smote_resample")
     features = np.asarray(features, dtype=float)
@@ -178,8 +184,7 @@ def smote_resample(
     counts = {int(c): int(n) for c, n in zip(*np.unique(labels, return_counts=True))}
     targets = _smote_targets(counts, cfg, class_names)
 
-    new_features = [features]
-    new_labels = [labels]
+    blocks = []  # (label, synthetic rows), in label order
     for label, target in sorted(targets.items()):
         n = counts[label]
         deficit = target - n
@@ -195,15 +200,30 @@ def smote_resample(
         bases = rng.integers(0, n, size=deficit)
         picks = rng.integers(0, k_eff, size=deficit)
         us = rng.random(deficit)
-        neighbors = pool[neighbor_idx[bases, picks]]
-        synthetic = pool[bases] + us[:, None] * (neighbors - pool[bases])
-        new_features.append(synthetic)
-        new_labels.append(np.full(deficit, label, dtype=int))
+        # x + u * (x_nn - x), formed in the neighbor rows' own array
+        synthetic = pool[neighbor_idx[bases, picks]]
+        base_rows = pool[bases]
+        synthetic -= base_rows
+        synthetic *= us[:, None]
+        synthetic += base_rows
+        blocks.append((label, synthetic))
+        del base_rows  # not held beside the output
 
-    out_features = np.concatenate(new_features, axis=0)
-    out_labels = np.concatenate(new_labels, axis=0)
-    order = rng.permutation(out_features.shape[0])
-    return out_features[order], out_labels[order]
+    total = features.shape[0] + sum(len(block) for _, block in blocks)
+    order = rng.permutation(total)
+    position = np.empty(total, dtype=np.intp)  # where each unshuffled row lands
+    position[order] = np.arange(total)
+    out_features = np.empty((total, *features.shape[1:]))
+    out_labels = np.empty(total, dtype=int)
+    start = features.shape[0]
+    out_features[position[:start]] = features
+    out_labels[position[:start]] = labels
+    for label, synthetic in blocks:
+        rows = position[start : start + len(synthetic)]
+        out_features[rows] = synthetic
+        out_labels[rows] = label
+        start += len(synthetic)
+    return out_features, out_labels
 
 
 # ----------------------------------------------------------------------------

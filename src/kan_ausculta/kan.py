@@ -85,26 +85,15 @@ class KanCache:
     dbasis: np.ndarray  # d basis / dx, same shape
 
 
-def kan_init(
-    n_in: int,
-    n_out: int,
-    grid: KnotVector,
-    scale: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> KanLayer:
+def kan_init(n_in: int, n_out: int, grid: KnotVector, rng: np.random.Generator) -> KanLayer:
     """Create a layer with coefficients i.i.d. uniform in [-scale, scale].
 
-    ``scale`` defaults to 0.1/sqrt(n_in), which keeps node outputs inside
-    the spline domain for standardized inputs. Deterministic given the rng.
+    ``scale`` is 0.1/sqrt(n_in), which keeps node outputs inside the spline
+    domain for standardized inputs. Deterministic given the rng.
     """
     if n_in < 1 or n_out < 1:
         raise ValueError(f"dimensions must be positive, got ({n_in}, {n_out})")
-    if rng is None:
-        rng = np.random.default_rng()
-    if scale is None:
-        scale = 0.1 / np.sqrt(n_in)
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
+    scale = 0.1 / np.sqrt(n_in)
     coeffs = rng.uniform(-scale, scale, size=(n_out, n_in, grid.n_basis))
     return KanLayer(coeffs=coeffs, grid=grid)
 

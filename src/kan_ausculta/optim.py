@@ -322,7 +322,8 @@ def finite_diff_check(
     target: int,
     h: float = 1e-5,
     fp: FocalParams | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
@@ -334,8 +335,6 @@ def finite_diff_check(
         raise ValueError(f"h must be positive, got {h}")
     if fp is None:
         fp = FocalParams()
-    if rng is None:
-        rng = np.random.default_rng(0)
     sample = np.asarray(sample, dtype=float)
 
     def loss_at() -> float:

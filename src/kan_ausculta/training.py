@@ -6,10 +6,12 @@ One fold runs:
    a capped random sample of the majority class; its rows, scaler and
    optimizer state are freed before stage 2 allocates its own;
 2. stage 2 epochs: (re-)augment training audio, extract features, optional
-   SMOTE, fit a z-score scaler on the processed training features only,
-   mini-batch updates with focal loss + AdamW, validate, step the plateau
-   scheduler and the early stopper (which keeps the best epoch's scaler;
-   each improving epoch copies the parameters into one kept snapshot);
+   SMOTE, fit a z-score scaler on the processed training features only and
+   standardize them in place (the epoch holds one copy of its training
+   matrix, freed before validation), mini-batch updates with focal loss +
+   AdamW, validate, step the plateau scheduler and the early stopper
+   (which keeps the best epoch's scaler; each improving epoch copies the
+   parameters into one kept snapshot);
 3. return the best snapshot; its validation probabilities join the pooled
    out-of-fold arrays that produce the headline metrics.
 
@@ -17,7 +19,9 @@ A feature source supplies the rows. ``AudioFeatureSource`` holds every
 un-augmented ("base") row, computed before ``run_cv`` starts (``cli``
 extracts the uncached recordings through ``extract``'s path), and
 re-extracts only the training rows whose augmentation gate fires.
-``ArrayFeatureSource`` serves a precomputed matrix with no audio.
+``ArrayFeatureSource`` serves a precomputed matrix with no audio. Both
+sources return a new array from ``base_features`` and ``epoch_features``,
+which the caller may modify: stage 2 standardizes an epoch's rows in place.
 
 Leakage guards: validation rows never reach augmentation, SMOTE, or
 scaler fitting; each of those paths raises ContractViolation when handed
@@ -98,8 +102,14 @@ class Scaler:
             scale=np.maximum(features.std(axis=0), 1e-8),
         )
 
-    def transform(self, features) -> np.ndarray:
-        return (np.asarray(features, dtype=float) - self.mean) / self.scale
+    def transform(self, features, out=None) -> np.ndarray:
+        """``(features - mean) / scale``, into ``out`` if given; ``out=features`` works in place."""
+        features = np.asarray(features, dtype=float)
+        if out is None:
+            out = np.empty_like(features)
+        np.subtract(features, self.mean, out=out)
+        out /= self.scale
+        return out
 
 
 class ArrayFeatureSource:
@@ -117,10 +127,11 @@ class ArrayFeatureSource:
         self._warned = False
 
     def base_features(self, rows) -> np.ndarray:
+        """A new (rows, d_feat) array the caller may modify; the matrix is left as it was."""
         return np.stack([self._by_path[row.path] for row in rows])
 
     def epoch_features(self, rows, rng, augment_cfg, class_names) -> np.ndarray:
-        """The base rows: there is no audio to augment, so ``rng`` is not drawn."""
+        """New base rows: there is no audio to augment, so ``rng`` is not drawn."""
         if not self._warned:
             log.warning("feature source has no audio; time-domain augmentation skipped")
             self._warned = True
@@ -141,6 +152,7 @@ class AudioFeatureSource:
         self._cache = cache
 
     def base_features(self, rows) -> np.ndarray:
+        """A new (rows, d_feat) array the caller may modify; ``cache`` is left as it was."""
         return np.stack([self._cache[row.path] for row in rows])
 
     def epoch_features(self, rows, rng, augment_cfg, class_names) -> np.ndarray:
@@ -150,7 +162,8 @@ class AudioFeatureSource:
         drawn per row in row order, before anything is decoded, so the
         stream is deterministic and only rows whose gate fires pay for
         re-extraction. A validation row anywhere in ``rows`` is refused
-        before any row is read or any number drawn.
+        before any row is read or any number drawn. The rows are a new array
+        the caller may modify.
         """
         if any(row.split == "val" for row in rows):
             raise ContractViolation("augmentation path received a validation row")
@@ -320,7 +333,7 @@ def _pretrain(cfg: RunConfig, model, params, train_rows, class_names, source, fp
     stage1 = build_stage1_subset(train, majority, cap=cfg.train.stage1_majority_cap, rng=rng)
     X_s1 = source.base_features(stage1.rows)
     scaler = Scaler.fit(X_s1, [row.split for row in stage1.rows])
-    X_s1 = scaler.transform(X_s1)
+    scaler.transform(X_s1, out=X_s1)
     y_s1 = stage1.labels()
     opt = adamw_init(params, cfg.optim.lr_stage1, cfg.optim)
     for _ in range(cfg.train.stage1_epochs):
@@ -360,28 +373,32 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
     best_params = None  # the early stopper keeps the best epoch's scaler, this its parameters
     train_tags = [row.split for row in train_rows]
     for epoch in range(1, cfg.train.stage2_max_epochs + 1):
+        # one copy of the epoch's matrix: SMOTE's output replaces its input,
+        # it is scaled in place (sources return new arrays), and it is dropped
+        # before validation and the next epoch's extraction
         if cfg.augment.enabled:
-            X_train = source.epoch_features(train_rows, rng_aug, cfg.augment, class_names)
+            X_proc = source.epoch_features(train_rows, rng_aug, cfg.augment, class_names)
         else:
-            X_train = source.base_features(train_rows)
+            X_proc = source.base_features(train_rows)
+        y_proc = y_train
 
         if cfg.smote.enabled:
             X_proc, y_proc = smote_resample(
-                X_train,
+                X_proc,
                 y_train,
                 cfg.smote,
                 rng=rng_smote,
                 split_tags=train_tags,
                 class_names=class_names,
             )
-        else:
-            X_proc, y_proc = X_train, y_train
 
         scaler = Scaler.fit(X_proc, ["train"] * len(X_proc))
+        scaler.transform(X_proc, out=X_proc)
         opt.lr = sched.lr
         train_loss = _train_one_epoch(
-            model, params, scaler.transform(X_proc), y_proc, fp, opt, cfg.train.batch_size, rng_train
+            model, params, X_proc, y_proc, fp, opt, cfg.train.batch_size, rng_train
         )
+        del X_proc
 
         probs_val = _predict(model, scaler.transform(X_val))
         val_f1 = _macro_f1(y_val, probs_val, n_classes)

@@ -178,6 +178,78 @@ class TestSmote:
         np.testing.assert_array_equal(a[1], b[1])
 
 
+def smote_concat_oracle(features, labels, cfg, rng, class_names=None):
+    """SMOTE as one concatenation of originals and synthetic rows, then one ``[order]`` copy."""
+    counts = {int(c): int(n) for c, n in zip(*np.unique(labels, return_counts=True))}
+    new_features, new_labels = [features], [labels]
+    for label, target in sorted(imbalance._smote_targets(counts, cfg, class_names).items()):
+        n = counts[label]
+        deficit = target - n
+        if deficit <= 0 or n < 2:
+            continue
+        pool = features[labels == label]
+        k_eff = effective_neighbors(n, cfg.k)
+        neighbor_idx = imbalance._neighbor_indices(pool, k_eff)
+        bases = rng.integers(0, n, size=deficit)
+        picks = rng.integers(0, k_eff, size=deficit)
+        us = rng.random(deficit)
+        neighbors = pool[neighbor_idx[bases, picks]]
+        new_features.append(pool[bases] + us[:, None] * (neighbors - pool[bases]))
+        new_labels.append(np.full(deficit, label, dtype=int))
+    out_features = np.concatenate(new_features, axis=0)
+    out_labels = np.concatenate(new_labels, axis=0)
+    order = rng.permutation(out_features.shape[0])
+    return out_features[order], out_labels[order]
+
+
+# counts per class: a majority, minorities below half of it, a class already
+# at half (at its target), a singleton (skipped) and an explicit target
+ORACLE_CASES = {
+    "ratio": ((60, 9, 4, 2), SmoteConfig(target_ratio=0.5)),
+    "at-target": ((40, 20, 7), SmoteConfig(target_ratio=0.5)),
+    "singleton": ((30, 1, 6), SmoteConfig(target_ratio=0.8)),
+    "explicit": ((50, 8, 5), SmoteConfig(k=3, target_ratio=0.3, target_counts={"c2": 33})),
+    "none-needed": ((10, 10), SmoteConfig(target_ratio=1.0)),
+}
+
+
+class TestSmoteOutput:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_equals_concatenate_then_order_byte_for_byte(self, case, seed):
+        counts, cfg = ORACLE_CASES[case]
+        rng = np.random.default_rng(100 + seed)
+        labels = np.repeat(np.arange(len(counts)), counts)
+        rng.shuffle(labels)
+        features = rng.normal(size=(len(labels), 24)) + labels[:, None]
+        names = tuple(f"c{c}" for c in range(len(counts)))
+        before = features.tobytes()
+        out, out_labels = smote_resample(features, labels, cfg, rng=np.random.default_rng(seed),
+                                         class_names=names)
+        expected, expected_labels = smote_concat_oracle(features, labels, cfg,
+                                                        np.random.default_rng(seed), names)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert out_labels.dtype == expected_labels.dtype
+        assert out_labels.tobytes() == expected_labels.tobytes()
+        assert features.tobytes() == before
+        assert not np.shares_memory(out, features)
+
+    def test_peak_above_the_input_is_synthetic_rows_plus_one_output(self):
+        # 600 majority rows and four minorities of 30 lifted to 300: 1080
+        # synthetic rows and an 1800-row output. A concatenated copy of the
+        # output before the shuffle would add 1800 rows more.
+        rng = np.random.default_rng(12)
+        labels = np.repeat(np.arange(5), [600, 30, 30, 30, 30])
+        features = rng.normal(size=(len(labels), 200)) + labels[:, None]
+        cfg = SmoteConfig(target_ratio=0.5)
+        (out, _), peak = traced_peak(
+            lambda: smote_resample(features, labels, cfg, rng=np.random.default_rng(0)))
+        assert out.shape == (1800, 200)
+        synthetic = out.nbytes - features.nbytes
+        assert peak < synthetic + out.nbytes + 0.25 * out.nbytes
+
+
 def full_tensor_neighbors(pool, k):
     # oracle: the whole (n, n, d) difference tensor at once
     diff = pool[:, None, :] - pool[None, :, :]

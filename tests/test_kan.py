@@ -19,15 +19,22 @@ from spline_oracle import cox_de_boor_basis
 GRID = make_uniform_grid(-1, 1, 3, 3)
 
 
-def make_layer(n_in, n_out, seed=0, scale=None):
-    return kan_init(n_in, n_out, GRID, scale=scale, rng=np.random.default_rng(seed))
+def make_layer(n_in, n_out, seed=0):
+    return kan_init(n_in, n_out, GRID, rng=np.random.default_rng(seed))
 
 
 class TestInit:
-    def test_zero_scale_gives_zero_forward(self):
-        layer = make_layer(4, 3, scale=0.0)
+    def test_zero_coefficients_give_zero_forward(self):
+        layer = make_layer(4, 3)
+        layer.coeffs[...] = 0.0
         y, _ = kan_forward(layer, np.random.default_rng(1).normal(size=4))
         np.testing.assert_array_equal(y, np.zeros(3))
+
+    def test_draw_is_uniform_within_the_default_scale(self):
+        layer = make_layer(64, 32, seed=3)
+        scale = 0.1 / np.sqrt(64)
+        assert np.abs(layer.coeffs).max() <= scale
+        assert np.abs(layer.coeffs).max() > 0.99 * scale
 
     def test_same_seed_bit_identical(self):
         a = make_layer(5, 4, seed=42)
@@ -54,14 +61,14 @@ class TestInit:
 class TestForward:
     def test_constant_spline_returns_coefficient(self):
         # all coefficients equal c: partition of unity makes phi(x) = c inside
-        layer = make_layer(1, 1, scale=0.0)
+        layer = make_layer(1, 1)
         layer.coeffs[...] = 0.7
         for x in (-0.9, -0.2, 0.5, 0.99):
             y, _ = kan_forward(layer, np.array([x]))
             assert abs(y[0] - 0.7) < 1e-12
 
     def test_single_basis_center_value(self):
-        layer = make_layer(1, 1, scale=0.0)
+        layer = make_layer(1, 1)
         layer.coeffs[0, 0] = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         center = GRID.knots[4]  # center knot of basis 2
         y, _ = kan_forward(layer, np.array([center]))
@@ -83,7 +90,7 @@ class TestForward:
         a = make_layer(5, 3, seed=1)
         b = make_layer(5, 3, seed=2)
         alpha, beta = 0.3, -1.7
-        mixed = make_layer(5, 3, scale=0.0)
+        mixed = make_layer(5, 3)
         mixed.coeffs[...] = alpha * a.coeffs + beta * b.coeffs
         x = np.random.default_rng(7).uniform(-1, 1, size=5)
         ya, _ = kan_forward(a, x)
@@ -113,7 +120,7 @@ class TestBackward:
         assert np.all(grad_coeffs == 0)
 
     def test_constant_edge_has_zero_input_gradient(self):
-        layer = make_layer(1, 1, scale=0.0)
+        layer = make_layer(1, 1)
         layer.coeffs[...] = 1.3
         x = np.array([0.4])
         _, cache = kan_forward(layer, x)
@@ -219,7 +226,7 @@ class TestExportSplines:
         xs = np.linspace(-1, 1, 201)
         design = bspline_basis(xs, GRID)
         coeffs, *_ = np.linalg.lstsq(design, xs, rcond=None)
-        layer = kan_init(1, 1, GRID, scale=0.0, rng=np.random.default_rng(0))
+        layer = make_layer(1, 1)
         layer.coeffs[0, 0] = coeffs
         [(x, phi)] = export_splines(KanNetwork(layers=[layer]), 101)
         assert np.max(np.abs(phi[0, 0] - x)) < 1e-2
@@ -247,7 +254,9 @@ class TestMatmulForm:
     @pytest.mark.parametrize("batch", [None, 9])
     def test_forward_and_backward_match_einsum(self, batch):
         rng = np.random.default_rng(41)
-        layer = make_layer(7, 5, seed=42, scale=0.8)
+        layer = make_layer(7, 5)
+        # a wider draw than the default, so the spline values are far from zero
+        layer.coeffs[...] = np.random.default_rng(42).uniform(-0.8, 0.8, size=layer.coeffs.shape)
         lead = () if batch is None else (batch,)
         # spread past the extended grid so dead and edge intervals are covered
         x = rng.uniform(-3.5, 3.5, size=lead + (7,))

@@ -344,7 +344,7 @@ class TestFiniteDiffCheck:
         m = build_model(4, 3, np.random.default_rng(0), sizes)
         for layer in m.kan.layers:
             layer.coeffs[...] = 0.0
-        err = finite_diff_check(m, np.zeros(4), 0)
+        err = finite_diff_check(m, np.zeros(4), 0, rng=np.random.default_rng(0))
         assert err < 1e-4
 
     def test_random_model_passes_at_small_h(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from conftest import make_small_dataset, traced_peak
 from kan_ausculta import training
-from kan_ausculta.config import load_config
+from kan_ausculta.cli import _audio_source
+from kan_ausculta.config import PRESETS, load_config
+from kan_ausculta.dataset import DatasetIndex, IndexRow
 from kan_ausculta.errors import ContractViolation, ShapeError, TrainingAbort
 from kan_ausculta.features import FeatureConfig
 from kan_ausculta.imbalance import AugmentConfig, SmoteConfig, smote_resample
@@ -22,7 +25,7 @@ from kan_ausculta.training import (
 )
 
 
-def fast_config(**overrides):
+def fast_config(preset="full", **overrides):
     base = {
         "seed": 11,
         "folds": 2,
@@ -33,7 +36,23 @@ def fast_config(**overrides):
         "kan.hidden": 6,
     }
     base.update(overrides)
-    return load_config(preset="full", overrides=base)
+    return load_config(preset=preset, overrides=base)
+
+
+def wav_index(tmp_path, per_class=(8, 4, 4)):
+    """An index of short generated WAVs, ``per_class`` recordings per class."""
+    import scipy.io.wavfile
+
+    rng = np.random.default_rng(0)
+    rows = []
+    for label, n in enumerate(per_class):
+        for k in range(n):
+            path = tmp_path / f"{label}_{k}.wav"
+            tone = 0.4 * np.sin(np.arange(6000) * (0.05 + 0.03 * label))
+            samples = tone + 0.05 * rng.normal(size=6000)
+            scipy.io.wavfile.write(path, 22050, samples.astype(np.float32))
+            rows.append(IndexRow(path=str(path), patient_id=f"{label}-{k}", label=label))
+    return DatasetIndex(rows=rows, class_names=tuple(f"class{c}" for c in range(len(per_class))))
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +82,15 @@ class TestScaler:
     def test_validation_row_rejected(self):
         with pytest.raises(ContractViolation):
             Scaler.fit(np.zeros((3, 2)), split_tags=["train", "val", "train"])
+
+    def test_in_place_transform_equals_the_formula_byte_for_byte(self):
+        features = np.random.default_rng(1).normal(loc=-2.0, scale=5.0, size=(50, 7))
+        scaler = Scaler.fit(features)
+        expected = (features - scaler.mean) / scaler.scale
+        rows = features.copy()
+        assert scaler.transform(rows, out=rows) is rows
+        assert rows.tobytes() == expected.tobytes()
+        assert scaler.transform(features).tobytes() == expected.tobytes()
 
 
 class TestLeakageGuards:
@@ -219,8 +247,6 @@ class TestRunCv:
 
     def test_empty_index_rejected(self, small_run):
         cfg, _, source, _, _ = small_run
-        from kan_ausculta.dataset import DatasetIndex
-
         with pytest.raises(ValueError):
             run_cv(cfg, DatasetIndex(rows=[], class_names=("a",)), source)
 
@@ -288,10 +314,68 @@ class TestFoldState:
         param_bytes = sum(arr.nbytes for arr in parameters(artifacts[0].model).values())
         # fold 1 holds fold 0's finished model, its own model, one AdamW m/v pair,
         # the best-epoch snapshot and one gradient dict: six parameter sets. The
-        # margin of one more covers the feature rows, their SMOTE and scaled
-        # copies and the backward pass's temporaries. A stage-1 optimizer kept
+        # margin of one more covers the feature rows, SMOTE's working copies
+        # and the backward pass's temporaries. A stage-1 optimizer kept
         # through stage 2 adds two.
         assert peak < (6 + 1) * param_bytes
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_gradient_steps_hold_one_scaled_epoch_matrix(self, preset, monkeypatch):
+        # a small model over many rows, so an epoch matrix outweighs a parameter set
+        index, features = make_small_dataset(seed=5, d_feat=256, per_class=(150, 24, 14))
+        source = ArrayFeatureSource([r.path for r in index.rows], features)
+        cfg = fast_config(preset=preset, **{"folds": 5, "train.stage2_max_epochs": 2,
+                                            "train.stage1_epochs": 1})
+        fold_start, stage1, seen = [], [], []
+        real_run_fold, real_pretrain = training._run_fold, training._pretrain
+        real_train_one_epoch = training._train_one_epoch
+
+        def marking_run_fold(*args):
+            fold_start.append(tracemalloc.get_traced_memory()[0])
+            return real_run_fold(*args)
+
+        def marking_pretrain(*args):
+            stage1.append(True)
+            try:
+                return real_pretrain(*args)
+            finally:
+                stage1.pop()
+
+        def measuring_train_one_epoch(model, params, X, *args):
+            if not stage1:
+                param_bytes = sum(arr.nbytes for arr in params.values())
+                above = tracemalloc.get_traced_memory()[0] - fold_start[-1]
+                seen.append((above - 4 * param_bytes - X.nbytes) / X.nbytes)
+            return real_train_one_epoch(model, params, X, *args)
+
+        monkeypatch.setattr(training, "_run_fold", marking_run_fold)
+        monkeypatch.setattr(training, "_pretrain", marking_pretrain)
+        monkeypatch.setattr(training, "_train_one_epoch", measuring_train_one_epoch)
+        traced_peak(lambda: run_cv(cfg, index, source))
+        assert len(seen) == cfg.folds * cfg.train.stage2_max_epochs
+        # the model, the AdamW m/v pair and the best-epoch snapshot, one scaled
+        # epoch matrix and the validation rows; an unscaled copy of the epoch
+        # matrix, or SMOTE's input, would add at least half a matrix more
+        assert max(seen) < 0.5
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_sources_rows_are_left_as_they_were(self, preset, tmp_path):
+        # three presets turn SMOTE off and scale the rows a source returns in
+        # place: each source must hand out new arrays
+        index, features = make_small_dataset(d_feat=12)
+        before = features.tobytes()
+        cfg = fast_config(preset=preset, **{"train.stage2_max_epochs": 2})
+        run_cv(cfg, index, ArrayFeatureSource([r.path for r in index.rows], features))
+        assert features.tobytes() == before
+
+        audio_index = wav_index(tmp_path)
+        source = _audio_source(load_config(), audio_index, None)
+        base = {path: row.tobytes() for path, row in source._cache.items()}
+        cfg = fast_config(preset=preset, **{"train.stage2_max_epochs": 2,
+                                            "augment.base_probability": 0.5})
+        report, _ = run_cv(cfg, audio_index, source)
+        assert not report.incomplete
+        assert {path: row.tobytes() for path, row in source._cache.items()} == base
 
 
 class TestMetricBundle:
@@ -349,9 +433,7 @@ class TestAudioFeatureSourceCaching:
     def test_base_features_cached_and_deterministic(self, tmp_path):
         import scipy.io.wavfile
 
-        from kan_ausculta.cli import _audio_source
         from kan_ausculta.config import RunConfig
-        from kan_ausculta.dataset import DatasetIndex, IndexRow
 
         rng = np.random.default_rng(0)
         paths = []
