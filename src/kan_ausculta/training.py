@@ -8,7 +8,8 @@ One fold runs:
 2. stage 2 epochs: (re-)augment training audio, extract features, optional
    SMOTE, fit a z-score scaler on the processed training features only and
    standardize them in place (the epoch holds one copy of its training
-   matrix, freed before validation), mini-batch updates with focal loss +
+   matrix, freed before validation, plus the prefetched next epoch's
+   unscaled rows on the audio path), mini-batch updates with focal loss +
    AdamW, validate, step the plateau scheduler and the early stopper
    (which keeps the best epoch's scaler; each improving epoch copies the
    parameters into one kept snapshot);
@@ -18,7 +19,9 @@ One fold runs:
 A feature source supplies the rows. ``AudioFeatureSource`` holds every
 un-augmented ("base") row, computed before ``run_cv`` starts (``cli``
 extracts the uncached recordings through ``extract``'s path), and
-re-extracts only the training rows whose augmentation gate fires.
+re-extracts only the training rows whose augmentation gate fires; stage 2
+computes those one epoch ahead on a helper thread, beside the previous
+epoch's gradient steps (``_EpochRows``).
 ``ArrayFeatureSource`` serves a precomputed matrix with no audio. Both
 sources return a new array from ``base_features`` and ``epoch_features``,
 which the caller may modify: stage 2 standardizes an epoch's rows in place.
@@ -32,7 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -113,7 +118,14 @@ class Scaler:
 
 
 class ArrayFeatureSource:
-    """Pre-extracted feature matrix keyed by row path (cache files, synthetic data)."""
+    """Pre-extracted feature matrix keyed by row path (cache files, synthetic data).
+
+    Its epochs are not computed ahead (``prefetch_epochs``): stacking rows is
+    Python-level work that would hold the interpreter lock against the
+    gradient steps, not overlap them.
+    """
+
+    prefetch_epochs = False
 
     def __init__(self, paths, matrix, fingerprint: str | None = None):
         matrix = np.asarray(matrix, dtype=float)
@@ -143,7 +155,14 @@ class AudioFeatureSource:
 
     ``cache`` must hold the base row of every recording the run reads
     (``cli`` extracts the uncached ones up front); it is kept, not copied.
+
+    With augmentation on, stage 2 computes each epoch's rows one epoch ahead
+    on a helper thread (``prefetch_epochs``): decoding, filtering, the FFTs
+    and the transforms spend most of their time in native code that releases
+    the interpreter lock, so they overlap the previous epoch's gradient steps.
     """
+
+    prefetch_epochs = True
 
     def __init__(self, feature_config, cache: dict):
         self.layout = default_layout(feature_config)
@@ -156,7 +175,8 @@ class AudioFeatureSource:
         return np.stack([self._cache[row.path] for row in rows])
 
     def epoch_features(self, rows, rng, augment_cfg, class_names) -> np.ndarray:
-        """Per-epoch augmented extraction; rows the gate skips reuse their base row.
+        """Per-epoch augmented extraction; rows the gate skips, or whose transforms
+        change no sample, reuse their base row.
 
         This is the augmentation gate: its class-resolved probability is
         drawn per row in row order, before anything is decoded, so the
@@ -172,18 +192,15 @@ class AudioFeatureSource:
             name = class_names[row.label]
             if rng.random() < augment_cfg.probability_for(name):
                 raw = read_wav(row.path)
-                augmented = AudioSignal(
-                    samples=apply_transforms(
-                        np.asarray(raw.samples, dtype=float),
-                        augment_cfg,
-                        rng,
-                        class_name=name,
-                    ),
-                    sample_rate=raw.sample_rate,
-                )
-                out[i] = extract(preprocess(augmented, self.layout.config), self.layout)
-            else:
-                out[i] = self._cache[row.path]
+                samples = np.asarray(raw.samples, dtype=float)
+                augmented = apply_transforms(samples, augment_cfg, rng, class_name=name)
+                # all three coins off, or a zero shift or pitch, leave the samples
+                # as they were: their extraction is the base row
+                if not np.array_equal(augmented, samples):
+                    signal = AudioSignal(samples=augmented, sample_rate=raw.sample_rate)
+                    out[i] = extract(preprocess(signal, self.layout.config), self.layout)
+                    continue
+            out[i] = self._cache[row.path]
         return out
 
 
@@ -322,6 +339,50 @@ def _macro_f1(y_true, probs, n_classes) -> float:
     return classification_metrics(cm).macro_f1
 
 
+class _EpochRows:
+    """Stage 2's training rows, one ``take`` per epoch, never more than ``stage2_max_epochs``.
+
+    Without augmentation they are the base rows. With it, they are the
+    source's ``epoch_features``; on a source with ``prefetch_epochs`` one
+    helper thread computes them one epoch ahead: epoch 1 is submitted when
+    this opens, epoch e + 1 when epoch e is taken. Only the helper draws
+    from the augmentation stream, so every number is the serial loop's. An
+    error surfaces when its epoch is taken; an epoch computed ahead but never
+    taken (after early stopping) is dropped with any error it raised, as
+    the serial loop never ran it. Leaving the ``with`` block joins the helper.
+    """
+
+    def __init__(self, cfg: RunConfig, source, rows, class_names, rng):
+        if cfg.augment.enabled:
+            self._call = partial(source.epoch_features, rows, rng, cfg.augment, class_names)
+        else:
+            self._call = partial(source.base_features, rows)
+        self._left = cfg.train.stage2_max_epochs
+        self._helper = self._ahead = None
+        if cfg.augment.enabled and source.prefetch_epochs:
+            self._helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="epoch-rows")
+
+    def __enter__(self):
+        if self._helper is not None:
+            self._ahead = self._helper.submit(self._call)
+        return self
+
+    def __exit__(self, *exc_info):
+        self._ahead = None
+        if self._helper is not None:
+            self._helper.shutdown(wait=True, cancel_futures=True)
+
+    def take(self) -> np.ndarray:
+        """The next epoch's rows, a new array the caller may modify."""
+        self._left -= 1
+        if self._helper is None:
+            return self._call()
+        rows = self._ahead.result()
+        # rebinding drops the taken future, which holds the rows too
+        self._ahead = self._helper.submit(self._call) if self._left else None
+        return rows
+
+
 def _pretrain(cfg: RunConfig, model, params, train_rows, class_names, source, fp, rng) -> None:
     """Stage 1: train ``model`` in place on the minority rows plus a capped majority sample.
 
@@ -358,60 +419,58 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
     fp = cfg.focal.resolve(tuple(class_names))
 
     X_val = source.base_features(val_rows)
+    with _EpochRows(cfg, source, train_rows, class_names, rng_aug) as epoch_rows:
+        if cfg.train.two_stage:
+            _pretrain(cfg, model, params, train_rows, class_names, source, fp, rng_stage1)
 
-    if cfg.train.two_stage:
-        _pretrain(cfg, model, params, train_rows, class_names, source, fp, rng_stage1)
+        opt = adamw_init(params, cfg.optim.lr_stage2, cfg.optim)
+        sched = SchedulerState(lr=cfg.optim.lr_stage2, cfg=cfg.sched)
+        stopper = EarlyStopState(
+            patience=cfg.train.early_stop_patience,
+            threshold=cfg.train.early_stop_threshold,
+        )
 
-    opt = adamw_init(params, cfg.optim.lr_stage2, cfg.optim)
-    sched = SchedulerState(lr=cfg.optim.lr_stage2, cfg=cfg.sched)
-    stopper = EarlyStopState(
-        patience=cfg.train.early_stop_patience,
-        threshold=cfg.train.early_stop_threshold,
-    )
+        history = []
+        best_params = None  # the early stopper keeps the best epoch's scaler, this its parameters
+        train_tags = [row.split for row in train_rows]
+        for epoch in range(1, cfg.train.stage2_max_epochs + 1):
+            # one copy of the epoch's matrix, plus the prefetched next epoch's
+            # unscaled rows on the audio path: SMOTE's output replaces its input,
+            # it is scaled in place (sources return new arrays), and it is dropped
+            # before validation
+            X_proc = epoch_rows.take()
+            y_proc = y_train
 
-    history = []
-    best_params = None  # the early stopper keeps the best epoch's scaler, this its parameters
-    train_tags = [row.split for row in train_rows]
-    for epoch in range(1, cfg.train.stage2_max_epochs + 1):
-        # one copy of the epoch's matrix: SMOTE's output replaces its input,
-        # it is scaled in place (sources return new arrays), and it is dropped
-        # before validation and the next epoch's extraction
-        if cfg.augment.enabled:
-            X_proc = source.epoch_features(train_rows, rng_aug, cfg.augment, class_names)
-        else:
-            X_proc = source.base_features(train_rows)
-        y_proc = y_train
+            if cfg.smote.enabled:
+                X_proc, y_proc = smote_resample(
+                    X_proc,
+                    y_train,
+                    cfg.smote,
+                    rng=rng_smote,
+                    split_tags=train_tags,
+                    class_names=class_names,
+                )
 
-        if cfg.smote.enabled:
-            X_proc, y_proc = smote_resample(
-                X_proc,
-                y_train,
-                cfg.smote,
-                rng=rng_smote,
-                split_tags=train_tags,
-                class_names=class_names,
+            scaler = Scaler.fit(X_proc, ["train"] * len(X_proc))
+            scaler.transform(X_proc, out=X_proc)
+            opt.lr = sched.lr
+            train_loss = _train_one_epoch(
+                model, params, X_proc, y_proc, fp, opt, cfg.train.batch_size, rng_train
             )
+            del X_proc
 
-        scaler = Scaler.fit(X_proc, ["train"] * len(X_proc))
-        scaler.transform(X_proc, out=X_proc)
-        opt.lr = sched.lr
-        train_loss = _train_one_epoch(
-            model, params, X_proc, y_proc, fp, opt, cfg.train.batch_size, rng_train
-        )
-        del X_proc
-
-        probs_val = _predict(model, scaler.transform(X_val))
-        val_f1 = _macro_f1(y_val, probs_val, n_classes)
-        plateau_step(sched, val_f1)
-        stop = early_stop(stopper, val_f1, snapshot=scaler, epoch=epoch)
-        if stopper.best_epoch == epoch:
-            best_params = snapshot_parameters(model, out=best_params)
-        history.append(
-            {"epoch": epoch, "train_loss": float(train_loss), "val_macro_f1": float(val_f1), "lr": float(sched.lr)}
-        )
-        log.debug("fold %d epoch %d: loss %.4f val macro-F1 %.4f", fold_idx, epoch, train_loss, val_f1)
-        if stop:
-            break
+            probs_val = _predict(model, scaler.transform(X_val))
+            val_f1 = _macro_f1(y_val, probs_val, n_classes)
+            plateau_step(sched, val_f1)
+            stop = early_stop(stopper, val_f1, snapshot=scaler, epoch=epoch)
+            if stopper.best_epoch == epoch:
+                best_params = snapshot_parameters(model, out=best_params)
+            history.append(
+                {"epoch": epoch, "train_loss": float(train_loss), "val_macro_f1": float(val_f1), "lr": float(sched.lr)}
+            )
+            log.debug("fold %d epoch %d: loss %.4f val macro-F1 %.4f", fold_idx, epoch, train_loss, val_f1)
+            if stop:
+                break
 
     best_scaler = stopper.best_snapshot
     restore_parameters(model, best_params)

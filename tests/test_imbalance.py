@@ -326,6 +326,23 @@ class TestTransforms:
         assert transformed == []
         np.testing.assert_array_equal(out, source.base_features(rows))
 
+    def test_rows_the_transforms_leave_unchanged_reuse_their_base_row(self, tmp_path,
+                                                                      monkeypatch):
+        # every gate fires, and every transform is the identity: noise, shift and
+        # pitch ranges of 0, class overrides included
+        source, rows = audio_rows(tmp_path, 4)
+        cfg = AugmentConfig(base_probability=1.0, class_probability={"c0": 1.0},
+                            noise_level=0.0, max_shift_fraction=0.0,
+                            pitch_range_semitones=0.0, class_pitch_range={"c0": 0.0})
+        monkeypatch.setattr(training, "extract", lambda *args: pytest.fail("extract called"))
+        rng, serial = np.random.default_rng(4), np.random.default_rng(4)
+        out = source.epoch_features(rows, rng, cfg, CLASS_NAMES)
+        assert out.tobytes() == source.base_features(rows).tobytes()
+        for row in rows:  # the draws of a loop that extracts every fired row
+            assert serial.random() < 1.0
+            apply_transforms(features_module.read_wav(row.path).samples, cfg, serial, "c0")
+        assert rng.bit_generator.state == serial.bit_generator.state
+
     def test_circular_shift_preserves_multiset(self):
         samples = sine(150)
         shifted = circular_shift(samples, 1234)

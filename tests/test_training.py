@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import logging
+import queue
+import threading
 import tracemalloc
 import weakref
 
@@ -11,7 +14,7 @@ from kan_ausculta import training
 from kan_ausculta.cli import _audio_source
 from kan_ausculta.config import PRESETS, load_config
 from kan_ausculta.dataset import DatasetIndex, IndexRow
-from kan_ausculta.errors import ContractViolation, ShapeError, TrainingAbort
+from kan_ausculta.errors import ContractViolation, DataError, ShapeError, TrainingAbort
 from kan_ausculta.features import FeatureConfig
 from kan_ausculta.imbalance import AugmentConfig, SmoteConfig, smote_resample
 from kan_ausculta.model import parameters
@@ -376,6 +379,215 @@ class TestFoldState:
         report, _ = run_cv(cfg, audio_index, source)
         assert not report.incomplete
         assert {path: row.tobytes() for path, row in source._cache.items()} == base
+
+
+class InlineExecutor:
+    """Stands in for the epoch-rows helper: each job runs on the calling thread
+    when its result is taken, which is the serial loop's order, and a job
+    whose result is never taken never runs."""
+
+    def __init__(self, max_workers, thread_name_prefix=""):
+        assert max_workers == 1
+
+    def submit(self, fn, *args):
+        return _Deferred(fn, args)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _Deferred:
+    def __init__(self, fn, args):
+        self._fn, self._args = fn, args
+
+    def result(self):
+        return self._fn(*self._args)
+
+
+@pytest.fixture(scope="module")
+def wav_run(tmp_path_factory):
+    """An augmenting audio run's index and source; every fold stops after its epoch 2 of 4."""
+    index = wav_index(tmp_path_factory.mktemp("wavs"))
+    source = _audio_source(load_config(), index, None)
+    cfg = fast_config(**{"augment.base_probability": 0.7, "train.early_stop_patience": 1,
+                         "train.early_stop_threshold": 10.0})
+    return cfg, index, source
+
+
+@pytest.fixture(scope="module")
+def many_wavs(tmp_path_factory):
+    """Many short recordings and their source: with 5 folds an epoch matrix
+    outweighs the validation rows."""
+    index = wav_index(tmp_path_factory.mktemp("many"), per_class=(30, 6, 6))
+    return index, _audio_source(load_config(), index, None)
+
+
+def fold_bytes(cfg, index, source):
+    """run_cv's report as JSON, and each fold's parameter bytes."""
+    folds = []
+    report, _ = run_cv(cfg, index, source, lambda art: folds.append(
+        {name: arr.tobytes() for name, arr in parameters(art.model).items()}))
+    return json.dumps(report.to_dict(), sort_keys=True), folds
+
+
+def counting_epoch_features(monkeypatch, fail_on=()):
+    """Wraps ``epoch_features``; returns, per fold, the threads of its calls in call order.
+
+    Call k (1-based) of fold f raises DataError when (f, k) is in ``fail_on``.
+    A fold is known by its augmentation stream: each fold draws from its own.
+    """
+    calls = []  # (rng, [thread names]), in fold order
+    real = AudioFeatureSource.epoch_features
+
+    def wrapped(self, rows, rng, *args):
+        fold = next((f for f, (seen, _) in enumerate(calls) if seen is rng), None)
+        if fold is None:
+            fold = len(calls)
+            calls.append((rng, []))
+        threads = calls[fold][1]
+        threads.append(threading.current_thread().name)
+        if (fold, len(threads)) in fail_on:
+            raise DataError(f"fold {fold} call {len(threads)} failed")
+        return real(self, rows, rng, *args)
+
+    monkeypatch.setattr(AudioFeatureSource, "epoch_features", wrapped)
+    return calls
+
+
+class TestEpochPrefetch:
+    """Stage 2 computes an audio source's epoch e + 1 on a helper thread during epoch e."""
+
+    def test_same_bytes_as_the_serial_order_and_never_past_the_last_epoch(self, wav_run,
+                                                                          monkeypatch):
+        cfg, index, source = wav_run
+        calls = counting_epoch_features(monkeypatch)
+        report, folds = fold_bytes(cfg, index, source)
+        assert [fold["epochs_run"] for fold in json.loads(report)["folds"]] == [2, 2]
+        # epochs 1 and 2 taken, epoch 3 computed ahead and dropped
+        assert [len(names) for _, names in calls] == [3, 3]
+        assert all(name.startswith("epoch-rows") for _, names in calls for name in names)
+        with monkeypatch.context() as inline:
+            inline.setattr(training, "ThreadPoolExecutor", InlineExecutor)
+            assert fold_bytes(cfg, index, source) == (report, folds)
+        # a fold that takes every epoch computes exactly stage2_max_epochs of them
+        calls.clear()
+        report, _ = fold_bytes(fast_config(**{"augment.base_probability": 0.7,
+                                              "train.stage2_max_epochs": 3}), index, source)
+        assert [fold["epochs_run"] for fold in json.loads(report)["folds"]] == [3, 3]
+        assert [len(names) for _, names in calls] == [3, 3]
+
+    @pytest.mark.parametrize("fail_on, incomplete", [
+        ({(0, 2)}, [{"fold": 0, "error": "DataError: fold 0 call 2 failed"}]),
+        ({(0, 3), (1, 3)}, []),  # the epochs computed ahead and never taken
+    ])
+    def test_an_error_counts_only_in_an_epoch_the_loop_takes(self, wav_run, monkeypatch,
+                                                            fail_on, incomplete):
+        cfg, index, source = wav_run
+        clean = fold_bytes(cfg, index, source)
+        calls = counting_epoch_features(monkeypatch, fail_on)
+        report, folds = fold_bytes(cfg, index, source)
+        assert json.loads(report)["incomplete"] == incomplete
+        calls.clear()
+        with monkeypatch.context() as inline:
+            inline.setattr(training, "ThreadPoolExecutor", InlineExecutor)
+            assert fold_bytes(cfg, index, source) == (report, folds)
+        if not incomplete:
+            assert (report, folds) == clean
+
+    @pytest.mark.parametrize("failure", [None, "stage 1", "gradient step"])
+    def test_no_thread_outlives_the_run(self, wav_run, monkeypatch, failure):
+        cfg, index, source = wav_run
+
+        def fail(*args, **kwargs):
+            raise FloatingPointError(f"{failure} failed")
+
+        if failure == "stage 1":
+            monkeypatch.setattr(training, "_pretrain", fail)
+        elif failure == "gradient step":
+            cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, two_stage=False))
+            monkeypatch.setattr(training, "adamw_step", fail)
+        calls = counting_epoch_features(monkeypatch)
+        before = threading.enumerate()
+        if failure is None:
+            run_cv(cfg, index, source)
+        else:
+            with pytest.raises(TrainingAbort):  # every fold failed
+                run_cv(cfg, index, source)
+        assert threading.enumerate() == before
+        # stage 1 fails beside epoch 1's rows; a gradient step after epoch 2 is submitted
+        computed = {None: 3, "stage 1": 1, "gradient step": 2}[failure]
+        assert [len(names) for _, names in calls] == [computed] * cfg.folds
+
+    @pytest.mark.parametrize("preset", ["augment_only", "full"])
+    def test_gradient_steps_hold_one_scaled_and_one_prefetched_matrix(self, preset, many_wavs,
+                                                                      monkeypatch):
+        # measured as test_gradient_steps_hold_one_scaled_epoch_matrix is, once
+        # the helper has finished the next epoch's rows
+        index, source = many_wavs
+        cfg = fast_config(preset=preset, **{"folds": 5, "train.stage2_max_epochs": 3,
+                                            "train.stage1_epochs": 1, "lstm.hidden": 2,
+                                            "kan.hidden": 2, "augment.base_probability": 0.2})
+        fold_start, stage1, seen = [], [], []
+        finished = queue.Queue()  # nbytes of each epoch's rows, once computed
+        real_run_fold, real_pretrain = training._run_fold, training._pretrain
+        real_train_one_epoch = training._train_one_epoch
+        real_epoch_features = AudioFeatureSource.epoch_features
+
+        def marking_run_fold(*args):
+            fold_start.append([tracemalloc.get_traced_memory()[0], 0])
+            return real_run_fold(*args)
+
+        def marking_pretrain(*args):
+            stage1.append(True)
+            try:
+                return real_pretrain(*args)
+            finally:
+                stage1.pop()
+
+        def reporting_epoch_features(*args):
+            rows = real_epoch_features(*args)
+            finished.put(rows.nbytes)
+            return rows
+
+        def computed_rows():
+            try:
+                return finished.get(timeout=10)
+            except queue.Empty:  # pytest.fail is not a fold failure
+                pytest.fail("the next epoch's rows were not computed ahead")
+
+        def measuring_train_one_epoch(model, params, X, *args):
+            if not stage1:
+                start, epoch = fold_start[-1]
+                epoch = fold_start[-1][1] = epoch + 1
+                computed_rows()  # this epoch's
+                ahead = computed_rows() if epoch < cfg.train.stage2_max_epochs else 0
+                param_bytes = sum(arr.nbytes for arr in params.values())
+                above = tracemalloc.get_traced_memory()[0] - start
+                seen.append((above - 4 * param_bytes - X.nbytes - ahead) / X.nbytes)
+                if ahead:
+                    finished.put(ahead)  # the next epoch takes it
+            return real_train_one_epoch(model, params, X, *args)
+
+        monkeypatch.setattr(training, "_run_fold", marking_run_fold)
+        monkeypatch.setattr(training, "_pretrain", marking_pretrain)
+        monkeypatch.setattr(training, "_train_one_epoch", measuring_train_one_epoch)
+        monkeypatch.setattr(AudioFeatureSource, "epoch_features", reporting_epoch_features)
+        traced_peak(lambda: run_cv(cfg, index, source))
+        assert len(seen) == cfg.folds * cfg.train.stage2_max_epochs
+        # as in that test, plus the next epoch's unscaled rows. The validation
+        # rows and the two scalers are 0.3-0.5 of a matrix here (d is fixed, so
+        # the rows are fewer); an unscaled copy of this epoch's matrix, or a
+        # second epoch ahead, would add at least 0.7 more
+        assert max(seen) < 0.75
+
+    def test_an_array_source_starts_no_thread(self, monkeypatch):
+        index, features = make_small_dataset()
+        cfg = fast_config(**{"train.stage2_max_epochs": 2})
+        assert cfg.augment.enabled
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", started.append)
+        report, _ = run_cv(cfg, index, ArrayFeatureSource([r.path for r in index.rows], features))
+        assert started == [] and not report.incomplete
 
 
 class TestMetricBundle:
