@@ -8,9 +8,9 @@ One fold runs:
 2. stage 2 epochs: (re-)augment training audio, extract features, optional
    SMOTE, fit a z-score scaler on the processed training features only and
    standardize them in place (the epoch holds one copy of its training
-   matrix, freed before validation, plus the prefetched next epoch's
-   unscaled rows on the audio path), mini-batch updates with focal loss +
-   AdamW, validate, step the plateau scheduler and the early stopper
+   matrix, freed before validation, plus up to ``EPOCHS_AHEAD`` later
+   epochs' unscaled rows on the audio path), mini-batch updates with focal
+   loss + AdamW, validate, step the plateau scheduler and the early stopper
    (which keeps the best epoch's scaler; each improving epoch copies the
    parameters into one kept snapshot);
 3. return the best snapshot; its validation probabilities join the pooled
@@ -20,8 +20,8 @@ A feature source supplies the rows. ``AudioFeatureSource`` holds every
 un-augmented ("base") row, computed before ``run_cv`` starts (``cli``
 extracts the uncached recordings through ``extract``'s path), and
 re-extracts only the training rows whose augmentation gate fires; stage 2
-computes those one epoch ahead on a helper thread, beside the previous
-epoch's gradient steps (``_EpochRows``).
+computes those up to ``EPOCHS_AHEAD`` epochs ahead on a helper thread,
+beside stage 1 and the earlier epochs' gradient steps (``_EpochRows``).
 ``ArrayFeatureSource`` serves a precomputed matrix with no audio. Both
 sources return a new array from ``base_features`` and ``epoch_features``,
 which the caller may modify: stage 2 standardizes an epoch's rows in place.
@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -89,6 +91,11 @@ log = logging.getLogger(__name__)
 
 REPORT_VERSION = 2
 
+# stage-2 epochs the augmentation helper computes or holds beyond the ones
+# taken: it fills stage 1 with the first ones and runs ahead through the
+# cheaper stage-2 epochs, at the cost of up to this many unscaled epoch matrices
+EPOCHS_AHEAD = 3
+
 
 @dataclass
 class Scaler:
@@ -142,8 +149,11 @@ class ArrayFeatureSource:
         """A new (rows, d_feat) array the caller may modify; the matrix is left as it was."""
         return np.stack([self._by_path[row.path] for row in rows])
 
-    def epoch_features(self, rows, rng, augment_cfg, class_names) -> np.ndarray:
-        """New base rows: there is no audio to augment, so ``rng`` is not drawn."""
+    def epoch_features(self, rows, rng, augment_cfg, class_names, stop=None) -> np.ndarray:
+        """New base rows: there is no audio to augment, so ``rng`` is not drawn.
+
+        ``stop`` is never checked: this source's epochs are not computed ahead.
+        """
         if not self._warned:
             log.warning("feature source has no audio; time-domain augmentation skipped")
             self._warned = True
@@ -156,10 +166,10 @@ class AudioFeatureSource:
     ``cache`` must hold the base row of every recording the run reads
     (``cli`` extracts the uncached ones up front); it is kept, not copied.
 
-    With augmentation on, stage 2 computes each epoch's rows one epoch ahead
-    on a helper thread (``prefetch_epochs``): decoding, filtering, the FFTs
+    With augmentation on, stage 2 computes its epochs' rows ahead on a
+    helper thread (``prefetch_epochs``): decoding, filtering, the FFTs
     and the transforms spend most of their time in native code that releases
-    the interpreter lock, so they overlap the previous epoch's gradient steps.
+    the interpreter lock, so they overlap stage 1 and the gradient steps.
     """
 
     prefetch_epochs = True
@@ -174,7 +184,7 @@ class AudioFeatureSource:
         """A new (rows, d_feat) array the caller may modify; ``cache`` is left as it was."""
         return np.stack([self._cache[row.path] for row in rows])
 
-    def epoch_features(self, rows, rng, augment_cfg, class_names) -> np.ndarray:
+    def epoch_features(self, rows, rng, augment_cfg, class_names, stop=None) -> np.ndarray:
         """Per-epoch augmented extraction; rows the gate skips, or whose transforms
         change no sample, reuse their base row.
 
@@ -183,12 +193,15 @@ class AudioFeatureSource:
         stream is deterministic and only rows whose gate fires pay for
         re-extraction. A validation row anywhere in ``rows`` is refused
         before any row is read or any number drawn. The rows are a new array
-        the caller may modify.
+        the caller may modify. Once ``stop`` (a ``threading.Event``) is set,
+        the call returns None before its next row: its caller has left.
         """
         if any(row.split == "val" for row in rows):
             raise ContractViolation("augmentation path received a validation row")
         out = np.empty((len(rows), self.d_feat))
         for i, row in enumerate(rows):
+            if stop is not None and stop.is_set():
+                return None
             name = class_names[row.label]
             if rng.random() < augment_cfg.probability_for(name):
                 raw = read_wav(row.path)
@@ -344,42 +357,52 @@ class _EpochRows:
 
     Without augmentation they are the base rows. With it, they are the
     source's ``epoch_features``; on a source with ``prefetch_epochs`` one
-    helper thread computes them one epoch ahead: epoch 1 is submitted when
-    this opens, epoch e + 1 when epoch e is taken. Only the helper draws
-    from the augmentation stream, so every number is the serial loop's. An
-    error surfaces when its epoch is taken; an epoch computed ahead but never
-    taken (after early stopping) is dropped with any error it raised, as
-    the serial loop never ran it. Leaving the ``with`` block joins the helper.
+    helper thread computes them ahead, in epoch order: epochs 1 to
+    ``EPOCHS_AHEAD`` are submitted when this opens, epoch e + ``EPOCHS_AHEAD``
+    when epoch e is taken. Only the helper draws from the augmentation
+    stream, so every number is the serial loop's. An error surfaces when its
+    epoch is taken; an epoch computed ahead but never taken (after early
+    stopping) is dropped with any error it raised, as the serial loop never
+    ran it. Leaving the ``with`` block cancels the queued epochs, stops the
+    running one before its next recording and joins the helper.
     """
 
     def __init__(self, cfg: RunConfig, source, rows, class_names, rng):
+        self._stop = threading.Event()
         if cfg.augment.enabled:
-            self._call = partial(source.epoch_features, rows, rng, cfg.augment, class_names)
+            self._call = partial(source.epoch_features, rows, rng, cfg.augment, class_names,
+                                 self._stop)
         else:
             self._call = partial(source.base_features, rows)
-        self._left = cfg.train.stage2_max_epochs
-        self._helper = self._ahead = None
+        self._unsubmitted = cfg.train.stage2_max_epochs
+        self._ahead = deque()  # the submitted epochs' futures, oldest first
+        self._helper = None
         if cfg.augment.enabled and source.prefetch_epochs:
             self._helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="epoch-rows")
 
+    def _submit(self):
+        while self._unsubmitted and len(self._ahead) < EPOCHS_AHEAD:
+            self._ahead.append(self._helper.submit(self._call))
+            self._unsubmitted -= 1
+
     def __enter__(self):
         if self._helper is not None:
-            self._ahead = self._helper.submit(self._call)
+            self._submit()
         return self
 
     def __exit__(self, *exc_info):
-        self._ahead = None
+        self._ahead.clear()
         if self._helper is not None:
+            self._stop.set()
             self._helper.shutdown(wait=True, cancel_futures=True)
 
     def take(self) -> np.ndarray:
         """The next epoch's rows, a new array the caller may modify."""
-        self._left -= 1
         if self._helper is None:
             return self._call()
-        rows = self._ahead.result()
-        # rebinding drops the taken future, which holds the rows too
-        self._ahead = self._helper.submit(self._call) if self._left else None
+        # popping drops the taken future, which holds the rows too
+        rows = self._ahead.popleft().result()
+        self._submit()
         return rows
 
 
@@ -434,7 +457,7 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
         best_params = None  # the early stopper keeps the best epoch's scaler, this its parameters
         train_tags = [row.split for row in train_rows]
         for epoch in range(1, cfg.train.stage2_max_epochs + 1):
-            # one copy of the epoch's matrix, plus the prefetched next epoch's
+            # one copy of the epoch's matrix, plus up to EPOCHS_AHEAD later epochs'
             # unscaled rows on the audio path: SMOTE's output replaces its input,
             # it is scaled in place (sources return new arrays), and it is dropped
             # before validation

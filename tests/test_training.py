@@ -455,7 +455,7 @@ def counting_epoch_features(monkeypatch, fail_on=()):
 
 
 class TestEpochPrefetch:
-    """Stage 2 computes an audio source's epoch e + 1 on a helper thread during epoch e."""
+    """Stage 2 computes an audio source's epochs up to ``EPOCHS_AHEAD`` ahead on a helper thread."""
 
     def test_same_bytes_as_the_serial_order_and_never_past_the_last_epoch(self, wav_run,
                                                                           monkeypatch):
@@ -463,8 +463,10 @@ class TestEpochPrefetch:
         calls = counting_epoch_features(monkeypatch)
         report, folds = fold_bytes(cfg, index, source)
         assert [fold["epochs_run"] for fold in json.loads(report)["folds"]] == [2, 2]
-        # epochs 1 and 2 taken, epoch 3 computed ahead and dropped
-        assert [len(names) for _, names in calls] == [3, 3]
+        # epochs 1 and 2 taken; the helper is on epoch 3 when the fold stops or,
+        # if it finished that first, stops at the start of epoch 4
+        assert len(calls) == cfg.folds
+        assert all(3 <= len(names) <= 4 for _, names in calls)
         assert all(name.startswith("epoch-rows") for _, names in calls for name in names)
         with monkeypatch.context() as inline:
             inline.setattr(training, "ThreadPoolExecutor", InlineExecutor)
@@ -514,17 +516,55 @@ class TestEpochPrefetch:
             with pytest.raises(TrainingAbort):  # every fold failed
                 run_cv(cfg, index, source)
         assert threading.enumerate() == before
-        # stage 1 fails beside epoch 1's rows; a gradient step after epoch 2 is submitted
-        computed = {None: 3, "stage 1": 1, "gradient step": 2}[failure]
-        assert [len(names) for _, names in calls] == [computed] * cfg.folds
+        # when the fold ends, the helper is on an epoch beyond the ones taken
+        # (stage 1 fails beside epoch 1's rows, a gradient step beside epoch
+        # 2's), and it never starts one more than EPOCHS_AHEAD beyond them;
+        # where in that range it is depends on timing
+        taken = {None: 2, "stage 1": 0, "gradient step": 1}[failure]
+        most = min(taken + training.EPOCHS_AHEAD, cfg.train.stage2_max_epochs)
+        assert len(calls) == cfg.folds
+        assert all(taken < len(names) <= most for _, names in calls)
+
+    def test_an_early_stop_waits_for_at_most_one_recording(self, wav_run, monkeypatch):
+        cfg, index, source = wav_run
+        calls = counting_epoch_features(monkeypatch)
+        leaving = threading.Event()  # set while a fold's with block shuts the helper down
+        late = []  # per fold, the recordings augmented after its with block was left
+        real_apply_transforms = training.apply_transforms
+
+        class ShutdownMarkingExecutor(training.ThreadPoolExecutor):
+            def shutdown(self, wait=True, cancel_futures=False):
+                late.append(0)
+                leaving.set()
+                super().shutdown(wait=wait, cancel_futures=cancel_futures)
+                leaving.clear()
+
+        def gated_apply_transforms(*args, **kwargs):
+            # the folds stop after epoch 2, so a later epoch's recording waits
+            # here until its fold leaves the with block
+            if len(calls[-1][1]) > 2:
+                leaving.wait(timeout=10)
+            if leaving.is_set():
+                late[-1] += 1
+            return real_apply_transforms(*args, **kwargs)
+
+        monkeypatch.setattr(training, "apply_transforms", gated_apply_transforms)
+        with monkeypatch.context() as marked:
+            marked.setattr(training, "ThreadPoolExecutor", ShutdownMarkingExecutor)
+            report, folds = fold_bytes(cfg, index, source)
+        assert [fold["epochs_run"] for fold in json.loads(report)["folds"]] == [2, 2]
+        assert late == [1, 1]  # the recording epoch 3 was waiting in
+        with monkeypatch.context() as inline:
+            inline.setattr(training, "ThreadPoolExecutor", InlineExecutor)
+            assert fold_bytes(cfg, index, source) == (report, folds)
 
     @pytest.mark.parametrize("preset", ["augment_only", "full"])
-    def test_gradient_steps_hold_one_scaled_and_one_prefetched_matrix(self, preset, many_wavs,
-                                                                      monkeypatch):
+    def test_gradient_steps_hold_one_scaled_matrix_and_the_epochs_computed_ahead(
+            self, preset, many_wavs, monkeypatch):
         # measured as test_gradient_steps_hold_one_scaled_epoch_matrix is, once
-        # the helper has finished the next epoch's rows
+        # the helper has finished every epoch it may compute ahead
         index, source = many_wavs
-        cfg = fast_config(preset=preset, **{"folds": 5, "train.stage2_max_epochs": 3,
+        cfg = fast_config(preset=preset, **{"folds": 5, "train.stage2_max_epochs": 4,
                                             "train.stage1_epochs": 1, "lstm.hidden": 2,
                                             "kan.hidden": 2, "augment.base_probability": 0.2})
         fold_start, stage1, seen = [], [], []
@@ -534,7 +574,9 @@ class TestEpochPrefetch:
         real_epoch_features = AudioFeatureSource.epoch_features
 
         def marking_run_fold(*args):
-            fold_start.append([tracemalloc.get_traced_memory()[0], 0])
+            # traced memory at the fold's start, stage-2 epochs taken, nbytes
+            # of each epoch's rows computed so far
+            fold_start.append([tracemalloc.get_traced_memory()[0], 0, []])
             return real_run_fold(*args)
 
         def marking_pretrain(*args):
@@ -553,19 +595,23 @@ class TestEpochPrefetch:
             try:
                 return finished.get(timeout=10)
             except queue.Empty:  # pytest.fail is not a fold failure
-                pytest.fail("the next epoch's rows were not computed ahead")
+                pytest.fail("the later epochs' rows were not computed ahead")
 
         def measuring_train_one_epoch(model, params, X, *args):
             if not stage1:
-                start, epoch = fold_start[-1]
+                start, epoch, computed = fold_start[-1]
                 epoch = fold_start[-1][1] = epoch + 1
-                computed_rows()  # this epoch's
-                ahead = computed_rows() if epoch < cfg.train.stage2_max_epochs else 0
+                # once the helper is idle, every epoch it was given is computed
+                submitted = min(epoch + training.EPOCHS_AHEAD, cfg.train.stage2_max_epochs)
+                while len(computed) < submitted:
+                    computed.append(computed_rows())
+                ahead = sum(computed[epoch:])
+                # the model and the AdamW m/v pair, plus the best-epoch snapshot
+                # from the end of epoch 1 on
+                param_sets = 3 if epoch == 1 else 4
                 param_bytes = sum(arr.nbytes for arr in params.values())
                 above = tracemalloc.get_traced_memory()[0] - start
-                seen.append((above - 4 * param_bytes - X.nbytes - ahead) / X.nbytes)
-                if ahead:
-                    finished.put(ahead)  # the next epoch takes it
+                seen.append((above - param_sets * param_bytes - X.nbytes - ahead) / X.nbytes)
             return real_train_one_epoch(model, params, X, *args)
 
         monkeypatch.setattr(training, "_run_fold", marking_run_fold)
@@ -574,10 +620,10 @@ class TestEpochPrefetch:
         monkeypatch.setattr(AudioFeatureSource, "epoch_features", reporting_epoch_features)
         traced_peak(lambda: run_cv(cfg, index, source))
         assert len(seen) == cfg.folds * cfg.train.stage2_max_epochs
-        # as in that test, plus the next epoch's unscaled rows. The validation
-        # rows and the two scalers are 0.3-0.5 of a matrix here (d is fixed, so
-        # the rows are fewer); an unscaled copy of this epoch's matrix, or a
-        # second epoch ahead, would add at least 0.7 more
+        # as in that test, plus up to EPOCHS_AHEAD later epochs' unscaled rows.
+        # The validation rows and the two scalers are 0.3-0.5 of a matrix here
+        # (d is fixed, so the rows are fewer); an unscaled copy of this epoch's
+        # matrix would add at least 0.7 more
         assert max(seen) < 0.75
 
     def test_an_array_source_starts_no_thread(self, monkeypatch):
