@@ -20,33 +20,4 @@ The package is organized around one module per pipeline stage:
 
 __version__ = "0.1.0"
 
-from .splines import KnotVector, bspline_basis, make_uniform_grid
-from .kan import KanLayer, KanNetwork, kan_backward, kan_forward, kan_init
-from .lstm import BiLstm, bilstm_backward, bilstm_encode
-from .model import HybridModel, build_model, model_backward, model_forward, softmax
-from .optim import FocalParams, adamw_step, early_stop, focal_loss, plateau_step
-
-__all__ = [
-    "__version__",
-    "KnotVector",
-    "make_uniform_grid",
-    "bspline_basis",
-    "KanLayer",
-    "KanNetwork",
-    "kan_init",
-    "kan_forward",
-    "kan_backward",
-    "BiLstm",
-    "bilstm_encode",
-    "bilstm_backward",
-    "HybridModel",
-    "build_model",
-    "model_forward",
-    "model_backward",
-    "softmax",
-    "FocalParams",
-    "focal_loss",
-    "adamw_step",
-    "plateau_step",
-    "early_stop",
-]
+__all__ = ["__version__"]

@@ -20,7 +20,8 @@ import itertools
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .kan import export_splines
 from .model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .optim import FocalParams, finite_diff_check
 from .report import export, splines_csv_text
-from .training import AudioFeatureSource, run_cv
+from .training import AudioFeatureSource, ReadAhead, run_cv
 
 log = logging.getLogger(__name__)
 
@@ -133,29 +134,22 @@ def _extract_all(paths, feature_config: FeatureConfig, jobs: int) -> np.ndarray:
     """``_extract_one`` of each path, stacked in input order.
 
     With ``jobs`` > 1 a process pool extracts the rows. With ``jobs`` 1 a
-    helper thread decodes and filters recording i + 1 while this thread
-    extracts recording i (scipy's filters, numpy's FFT and the sparse
-    product release the GIL), so at most two recordings are in flight. The
-    first error in list order propagates, as in a serial loop: a failed
-    load surfaces only once every earlier row is extracted, and a failed
-    extract wins over the load running beside it. The helper is joined
-    before this returns or raises.
+    ``ReadAhead`` helper thread decodes and filters recording i + 1 while
+    this thread extracts recording i (scipy's filters, numpy's FFT and the
+    sparse product release the GIL), so at most two recordings are in
+    flight. The first error in list order propagates, as in a serial loop: a
+    failed load surfaces only once every earlier row is extracted, and a
+    failed extract wins over the load running beside it. The helper is
+    joined before this returns or raises.
     """
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # map preserves input order
             return np.stack(list(pool.map(_extract_one, paths, itertools.repeat(feature_config))))
     layout = default_layout(feature_config)
-    rows = []
-    with ThreadPoolExecutor(max_workers=1) as loader:
-        ahead = loader.submit(_load, paths[0], feature_config)
-        for following in [*paths[1:], None]:
-            signal = ahead.result()
-            if following is not None:
-                ahead = loader.submit(_load, following, feature_config)
-            rows.append(extract(signal, layout))
-            del signal  # only the recording ahead stays alive while it loads
-    return np.stack(rows)
+    # only the recording ahead stays alive while the current one is extracted
+    with ReadAhead([partial(_load, path, feature_config) for path in paths], 1) as loads:
+        return np.stack([extract(loads.take(), layout) for _ in paths])
 
 
 def _load_run_config(args, preset=None):

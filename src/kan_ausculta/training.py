@@ -21,10 +21,12 @@ un-augmented ("base") row, computed before ``run_cv`` starts (``cli``
 extracts the uncached recordings through ``extract``'s path), and
 re-extracts only the training rows whose augmentation gate fires; stage 2
 computes those up to ``EPOCHS_AHEAD`` epochs ahead on a helper thread,
-beside stage 1 and the earlier epochs' gradient steps (``_EpochRows``).
-``ArrayFeatureSource`` serves a precomputed matrix with no audio. Both
-sources return a new array from ``base_features`` and ``epoch_features``,
-which the caller may modify: stage 2 standardizes an epoch's rows in place.
+beside stage 1 and the earlier epochs' gradient steps (``ReadAhead``, which
+``cli`` also uses to decode recordings ahead of their extraction).
+``ArrayFeatureSource`` serves a precomputed matrix with no audio, so stage 2
+trains on its base rows. Every array ``base_features`` and
+``epoch_features`` return is new, and the caller may modify it: stage 2
+standardizes an epoch's rows in place.
 
 Leakage guards: validation rows never reach augmentation, SMOTE, or
 scaler fitting; each of those paths raises ContractViolation when handed
@@ -34,6 +36,7 @@ a validation-tagged row.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import threading
 from collections import deque
@@ -76,6 +79,7 @@ from .optim import (
 )
 
 __all__ = [
+    "ReadAhead",
     "Scaler",
     "ArrayFeatureSource",
     "AudioFeatureSource",
@@ -124,15 +128,52 @@ class Scaler:
         return out
 
 
+class ReadAhead:
+    """The results of ``calls``, one ``take`` each, in order, computed ahead on one helper thread.
+
+    Opening the ``with`` block submits the first ``depth`` calls, and each
+    ``take`` submits one more, so up to ``depth`` calls are submitted beyond
+    the one being taken. An error surfaces at the ``take`` of its call; a call
+    computed ahead but never taken is dropped with any error it raised, as a
+    serial loop never made it. Leaving the block drops the queue, sets
+    ``stop`` (a ``threading.Event`` the running call may check), cancels the
+    calls not yet started and joins the helper.
+    """
+
+    def __init__(self, calls, depth: int, stop=None, name="read-ahead"):
+        self._calls = iter(calls)
+        self._depth = depth
+        self._stop = stop
+        self._ahead = deque()  # the submitted calls' futures, oldest first
+        self._helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix=name)
+
+    def _submit(self):
+        for call in itertools.islice(self._calls, self._depth - len(self._ahead)):
+            self._ahead.append(self._helper.submit(call))
+
+    def __enter__(self):
+        self._submit()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._ahead.clear()
+        if self._stop is not None:
+            self._stop.set()
+        self._helper.shutdown(wait=True, cancel_futures=True)
+
+    def take(self):
+        """The next call's result."""
+        # popping drops the taken future, which holds the result too
+        result = self._ahead.popleft().result()
+        self._submit()
+        return result
+
+
 class ArrayFeatureSource:
     """Pre-extracted feature matrix keyed by row path (cache files, synthetic data).
 
-    Its epochs are not computed ahead (``prefetch_epochs``): stacking rows is
-    Python-level work that would hold the interpreter lock against the
-    gradient steps, not overlap them.
+    It has no audio to augment: stage 2 trains on its base rows every epoch.
     """
-
-    prefetch_epochs = False
 
     def __init__(self, paths, matrix, fingerprint: str | None = None):
         matrix = np.asarray(matrix, dtype=float)
@@ -143,21 +184,10 @@ class ArrayFeatureSource:
             fingerprint = "array-" + hashlib.sha256(matrix.tobytes()).hexdigest()[:16]
         self.fingerprint = fingerprint
         self.d_feat = matrix.shape[1]
-        self._warned = False
 
     def base_features(self, rows) -> np.ndarray:
         """A new (rows, d_feat) array the caller may modify; the matrix is left as it was."""
         return np.stack([self._by_path[row.path] for row in rows])
-
-    def epoch_features(self, rows, rng, augment_cfg, class_names, stop=None) -> np.ndarray:
-        """New base rows: there is no audio to augment, so ``rng`` is not drawn.
-
-        ``stop`` is never checked: this source's epochs are not computed ahead.
-        """
-        if not self._warned:
-            log.warning("feature source has no audio; time-domain augmentation skipped")
-            self._warned = True
-        return self.base_features(rows)
 
 
 class AudioFeatureSource:
@@ -167,12 +197,10 @@ class AudioFeatureSource:
     (``cli`` extracts the uncached ones up front); it is kept, not copied.
 
     With augmentation on, stage 2 computes its epochs' rows ahead on a
-    helper thread (``prefetch_epochs``): decoding, filtering, the FFTs
-    and the transforms spend most of their time in native code that releases
-    the interpreter lock, so they overlap stage 1 and the gradient steps.
+    helper thread: decoding, filtering, the FFTs and the transforms spend
+    most of their time in native code that releases the interpreter lock, so
+    they overlap stage 1 and the gradient steps.
     """
-
-    prefetch_epochs = True
 
     def __init__(self, feature_config, cache: dict):
         self.layout = default_layout(feature_config)
@@ -352,60 +380,6 @@ def _macro_f1(y_true, probs, n_classes) -> float:
     return classification_metrics(cm).macro_f1
 
 
-class _EpochRows:
-    """Stage 2's training rows, one ``take`` per epoch, never more than ``stage2_max_epochs``.
-
-    Without augmentation they are the base rows. With it, they are the
-    source's ``epoch_features``; on a source with ``prefetch_epochs`` one
-    helper thread computes them ahead, in epoch order: epochs 1 to
-    ``EPOCHS_AHEAD`` are submitted when this opens, epoch e + ``EPOCHS_AHEAD``
-    when epoch e is taken. Only the helper draws from the augmentation
-    stream, so every number is the serial loop's. An error surfaces when its
-    epoch is taken; an epoch computed ahead but never taken (after early
-    stopping) is dropped with any error it raised, as the serial loop never
-    ran it. Leaving the ``with`` block cancels the queued epochs, stops the
-    running one before its next recording and joins the helper.
-    """
-
-    def __init__(self, cfg: RunConfig, source, rows, class_names, rng):
-        self._stop = threading.Event()
-        if cfg.augment.enabled:
-            self._call = partial(source.epoch_features, rows, rng, cfg.augment, class_names,
-                                 self._stop)
-        else:
-            self._call = partial(source.base_features, rows)
-        self._unsubmitted = cfg.train.stage2_max_epochs
-        self._ahead = deque()  # the submitted epochs' futures, oldest first
-        self._helper = None
-        if cfg.augment.enabled and source.prefetch_epochs:
-            self._helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="epoch-rows")
-
-    def _submit(self):
-        while self._unsubmitted and len(self._ahead) < EPOCHS_AHEAD:
-            self._ahead.append(self._helper.submit(self._call))
-            self._unsubmitted -= 1
-
-    def __enter__(self):
-        if self._helper is not None:
-            self._submit()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._ahead.clear()
-        if self._helper is not None:
-            self._stop.set()
-            self._helper.shutdown(wait=True, cancel_futures=True)
-
-    def take(self) -> np.ndarray:
-        """The next epoch's rows, a new array the caller may modify."""
-        if self._helper is None:
-            return self._call()
-        # popping drops the taken future, which holds the rows too
-        rows = self._ahead.popleft().result()
-        self._submit()
-        return rows
-
-
 def _pretrain(cfg: RunConfig, model, params, train_rows, class_names, source, fp, rng) -> None:
     """Stage 1: train ``model`` in place on the minority rows plus a capped majority sample.
 
@@ -442,7 +416,14 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
     fp = cfg.focal.resolve(tuple(class_names))
 
     X_val = source.base_features(val_rows)
-    with _EpochRows(cfg, source, train_rows, class_names, rng_aug) as epoch_rows:
+    # with augmentation on an audio source, every epoch's rows are the
+    # helper's, in epoch order; only the helper draws from rng_aug
+    stop = threading.Event()
+    augmented = []
+    if cfg.augment.enabled and isinstance(source, AudioFeatureSource):
+        augmented = [partial(source.epoch_features, train_rows, rng_aug, cfg.augment,
+                             class_names, stop)] * cfg.train.stage2_max_epochs
+    with ReadAhead(augmented, EPOCHS_AHEAD, stop, "epoch-rows") as epoch_rows:
         if cfg.train.two_stage:
             _pretrain(cfg, model, params, train_rows, class_names, source, fp, rng_stage1)
 
@@ -461,7 +442,7 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
             # unscaled rows on the audio path: SMOTE's output replaces its input,
             # it is scaled in place (sources return new arrays), and it is dropped
             # before validation
-            X_proc = epoch_rows.take()
+            X_proc = epoch_rows.take() if augmented else source.base_features(train_rows)
             y_proc = y_train
 
             if cfg.smote.enabled:
@@ -529,6 +510,8 @@ def run_cv(cfg: RunConfig, index: DatasetIndex, source, on_fold=None):
     """
     if len(index) == 0:
         raise ValueError("empty dataset index")
+    if cfg.augment.enabled and not isinstance(source, AudioFeatureSource):
+        log.warning("feature source has no audio; time-domain augmentation skipped")
 
     labels = index.labels()
     assignment = stratified_kfold(labels, cfg.folds, cfg.seed)

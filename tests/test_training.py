@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import json
 import logging
 import queue
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -22,6 +24,7 @@ from kan_ausculta.report import export, load_report
 from kan_ausculta.training import (
     ArrayFeatureSource,
     AudioFeatureSource,
+    ReadAhead,
     Scaler,
     compute_metric_bundle,
     run_cv,
@@ -237,14 +240,14 @@ class TestRunCv:
         assert report.incomplete == [{"fold": 0, "error": "TrainingAbort: non-finite gradient"}]
         assert [fold.fold for fold in report.folds] == [1]
 
-    def test_array_source_warns_once_per_source(self, caplog):
+    def test_array_source_warns_once_per_run(self, caplog):
         index, features = make_small_dataset()
         cfg = fast_config(**{"train.stage2_max_epochs": 2})
-        assert cfg.augment.enabled
-        paths = [r.path for r in index.rows]
+        assert cfg.augment.enabled and cfg.folds > 1
+        source = ArrayFeatureSource([r.path for r in index.rows], features)
         with caplog.at_level(logging.WARNING, logger="kan_ausculta.training"):
             for _ in range(2):
-                run_cv(cfg, index, ArrayFeatureSource(paths, features))
+                run_cv(cfg, index, source)
         skipped = [r for r in caplog.records if "augmentation skipped" in r.getMessage()]
         assert len(skipped) == 2
 
@@ -379,6 +382,51 @@ class TestFoldState:
         report, _ = run_cv(cfg, audio_index, source)
         assert not report.incomplete
         assert {path: row.tobytes() for path, row in source._cache.items()} == base
+
+
+class TestReadAhead:
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_order_errors_depth_and_exit(self, depth):
+        started, finished = [], []
+
+        def call(k):
+            started.append(k)
+            try:
+                if k == 4:
+                    raise DataError("call 4 failed")
+                return k * k
+            finally:
+                finished.append(k)
+
+        def computed(count):
+            # waits until the helper has finished ``count`` calls, then lets it
+            # start any it was wrongly given
+            deadline = time.monotonic() + 10
+            while len(finished) < count and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.01)
+            return started
+
+        calls = [functools.partial(call, k) for k in range(6)]
+        for take_failing in (False, True):
+            started.clear()
+            finished.clear()
+            stop = threading.Event()
+            before = threading.enumerate()
+            with ReadAhead(calls, depth, stop) as ahead:
+                assert computed(depth) == list(range(depth))
+                for taken in range(1, 5):
+                    assert ahead.take() == (taken - 1) ** 2
+                    # no more than depth calls start beyond the ones taken
+                    ahead_of_taken = min(taken + depth, len(calls))
+                    assert computed(ahead_of_taken) == list(range(ahead_of_taken))
+                assert not stop.is_set()
+                if take_failing:
+                    with pytest.raises(DataError, match="call 4 failed"):
+                        ahead.take()
+            # call 4, computed ahead and never taken, drops its error
+            assert stop.is_set()
+            assert threading.enumerate() == before
 
 
 class InlineExecutor:
@@ -625,6 +673,23 @@ class TestEpochPrefetch:
         # (d is fixed, so the rows are fewer); an unscaled copy of this epoch's
         # matrix would add at least 0.7 more
         assert max(seen) < 0.75
+
+    @pytest.mark.parametrize("case", ["audio source under baseline_ce", "array source under full"])
+    def test_base_rows_are_taken_inline(self, wav_run, monkeypatch, case):
+        if case.startswith("audio"):
+            _, index, source = wav_run
+            cfg = fast_config(preset="baseline_ce", **{"train.stage2_max_epochs": 2})
+            assert not cfg.augment.enabled
+        else:
+            index, features = make_small_dataset()
+            source = ArrayFeatureSource([r.path for r in index.rows], features)
+            cfg = fast_config(**{"train.stage2_max_epochs": 2})
+            assert cfg.augment.enabled
+        calls = counting_epoch_features(monkeypatch)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", started.append)
+        report, _ = run_cv(cfg, index, source)
+        assert started == [] and calls == [] and not report.incomplete
 
     def test_an_array_source_starts_no_thread(self, monkeypatch):
         index, features = make_small_dataset()
