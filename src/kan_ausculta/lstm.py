@@ -5,18 +5,17 @@ direction runs a single cell step from zero state, and the two directions
 differ only in their weights. With ``h_prev = c_prev = 0`` the recurrent
 product and the forget gate drop out, leaving a closed form:
 
-    a       = W x + b                   (all four gate blocks)
+    a       = W x + b                   (three gate blocks)
     i, o    = sigmoid(a)                (their gate blocks)
     g       = tanh(a)                   (cell-candidate block)
     c       = i * g
     h       = o * tanh(c)
 
-Gate layout: the input and bias tensors stack the four gates as
-contiguous blocks in the order (input, forget, cell, output), i.e. a hidden
-size H yields stacked shapes (4H, d_in) and (4H,). A step from zero state
-never reads a recurrent matrix, so a direction holds none. The forget block
-stays a parameter (checkpoints keep it and weight decay moves it), but its
-gradients are exact zeros.
+Gate layout: the input and bias tensors stack the three gates a step from
+zero state reads as contiguous blocks in the order (input, cell, output),
+i.e. a hidden size H yields stacked shapes (3H, d_in) and (3H,). The forget
+gate multiplies the zero cell and the recurrent matrix the zero state, so a
+direction holds neither.
 
 The encoder concatenates the two directions' hidden states; inverted
 dropout is applied to that output in training mode only. Gradients come back
@@ -55,12 +54,12 @@ def _sigmoid(x):
 class LstmWeights:
     """Gate parameters for one direction; gates stacked along the first axis."""
 
-    w_x: np.ndarray  # (4H, d_in)
-    bias: np.ndarray  # (4H,)
+    w_x: np.ndarray  # (3H, d_in)
+    bias: np.ndarray  # (3H,)
 
     @property
     def hidden_size(self) -> int:
-        return self.bias.shape[0] // 4
+        return self.bias.shape[0] // 3
 
     @property
     def input_size(self) -> int:
@@ -96,16 +95,17 @@ class BiLstm:
 
 
 def lstm_init(d_in: int, hidden: int, rng: np.random.Generator) -> LstmWeights:
-    """Uniform [-1/sqrt(H), 1/sqrt(H)] input matrix; forget bias 1, others 0."""
+    """Uniform [-1/sqrt(H), 1/sqrt(H)] input matrix, zero bias."""
     if d_in < 1 or hidden < 1:
         raise ValueError(f"dimensions must be positive, got ({d_in}, {hidden})")
     bound = 1.0 / np.sqrt(hidden)
+    # the four-gate input block and the (4H, H) recurrent block are drawn so
+    # seeded inits keep their bytes; the forget rows H:2H and the recurrent
+    # block are discarded
     w_x = rng.uniform(-bound, bound, size=(4 * hidden, d_in))
-    # the (4H, H) recurrent block is drawn and discarded so seeded inits keep their bytes
     rng.uniform(-bound, bound, size=(4 * hidden, hidden))
-    bias = np.zeros(4 * hidden)
-    bias[hidden : 2 * hidden] = 1.0  # forget gate block
-    return LstmWeights(w_x=w_x, bias=bias)
+    w_x = np.delete(w_x, np.s_[hidden : 2 * hidden], axis=0)
+    return LstmWeights(w_x=w_x, bias=np.zeros(3 * hidden))
 
 
 def bilstm_init(
@@ -132,8 +132,8 @@ def _step_from_zero(w: LstmWeights, x: np.ndarray):
     h_size = w.hidden_size
     a = x @ w.w_x.T + w.bias
     i = _sigmoid(a[..., :h_size])
-    g = np.tanh(a[..., 2 * h_size : 3 * h_size])
-    o = _sigmoid(a[..., 3 * h_size :])
+    g = np.tanh(a[..., h_size : 2 * h_size])
+    o = _sigmoid(a[..., 2 * h_size :])
     tanh_c = np.tanh(i * g)
     return o * tanh_c, (i, g, o, tanh_c)
 
@@ -186,10 +186,7 @@ def _step_grads(x2: np.ndarray, gates: tuple, dh) -> tuple[np.ndarray, np.ndarra
     dc = dh * o * (1.0 - tanh_c * tanh_c)
     da_i = dc * g * i * (1.0 - i)
     da_g = dc * i * (1.0 - g * g)
-    # the forget gate multiplies a zero cell, so its pre-activation gradient
-    # is 0; it stays in as zero columns because BLAS can sum a narrower
-    # matmul in another order, and the w_x gradient must keep its bytes
-    da = np.concatenate([da_i, np.zeros_like(da_i), da_g, da_o], axis=-1)
+    da = np.concatenate([da_i, da_g, da_o], axis=-1)
     da2 = da.reshape(-1, da.shape[-1])
     return da2.T @ x2, da2.sum(axis=0)
 
@@ -198,8 +195,7 @@ def bilstm_backward(m: BiLstm, cache: EncodeCache, upstream):
     """Exact gradients of the encode output w.r.t. all parameters.
 
     Returns one ``(w_x, bias)`` gradient pair per direction, forward first.
-    ``upstream`` must match the encode output shape (..., 2H). The
-    forget-gate rows of ``w_x`` and ``bias`` get exact zeros.
+    ``upstream`` must match the encode output shape (..., 2H).
     """
     upstream = np.asarray(upstream, dtype=float)
     if cache.x.shape[-1] != m.input_size or cache.hidden_size != m.hidden_size:

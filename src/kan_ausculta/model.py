@@ -14,6 +14,9 @@ addressing scheme, every tensor of which the forward pass reads:
     lstm.fwd.w_x  lstm.fwd.bias
     lstm.bwd.w_x  lstm.bwd.bias
     kan.<l>.coeffs
+
+Each ``lstm`` pair stacks the gate blocks (input, cell, output): shapes
+(3H, d_feat) and (3H,).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -214,7 +217,7 @@ def load_checkpoint(path, expected_fingerprint: str | None = None):
     entries are None when the checkpoint carries no scaler. A file
     ``read_npz`` refuses, or one it cannot rebuild a model from, raises
     ``DataError``, and so does a checkpoint of another version (version 1
-    held recurrent matrices).
+    held recurrent matrices, version 2 a forget-gate block).
     """
     with read_npz(path, "checkpoint") as data:
         header = json.loads(bytes(data["header"]).decode())

@@ -171,10 +171,7 @@ def adamw_step(params: dict, grads: dict, st: AdamWState) -> None:
     tensor op writes into m, v, theta or one scratch block per tensor.
     Each tensor is walked in blocks of leading-axis rows of about
     ``_ADAMW_BLOCK`` entries; every operation is elementwise, so blocks
-    give the bytes of one pass over the whole tensor. A block whose g, m and
-    v are all zero would subtract an Adam term of zero, so it gets only the
-    decay: the forget-gate rows of the one-step BiLSTM's ``w_x`` are such
-    blocks.
+    give the bytes of one pass over the whole tensor.
     """
     beta1, beta2, eps, weight_decay = st.cfg.beta1, st.cfg.beta2, st.cfg.eps, st.cfg.weight_decay
     st.step += 1
@@ -194,20 +191,19 @@ def adamw_step(params: dict, grads: dict, st: AdamWState) -> None:
             block = slice(lo, lo + rows)
             tb, gb, mb, vb = theta[block], g[block], m[block], v[block]
             buf = scratch[: len(tb)]
-            if gb.any() or mb.any() or vb.any():
-                mb *= beta1
-                np.multiply(gb, 1.0 - beta1, out=buf)
-                mb += buf
-                vb *= beta2
-                np.multiply(gb, 1.0 - beta2, out=buf)
-                buf *= gb
-                vb += buf
-                np.sqrt(vb, out=buf)
-                buf /= sqrt_bc2
-                buf += eps
-                np.divide(mb, buf, out=buf)
-                buf *= step_size
-                tb -= buf
+            mb *= beta1
+            np.multiply(gb, 1.0 - beta1, out=buf)
+            mb += buf
+            vb *= beta2
+            np.multiply(gb, 1.0 - beta2, out=buf)
+            buf *= gb
+            vb += buf
+            np.sqrt(vb, out=buf)
+            buf /= sqrt_bc2
+            buf += eps
+            np.divide(mb, buf, out=buf)
+            buf *= step_size
+            tb -= buf
             if weight_decay != 0.0:
                 np.multiply(tb, st.lr * weight_decay, out=buf)
                 tb -= buf
@@ -302,11 +298,11 @@ _COORDS_PER_TENSOR = 4
 def _coord_choices(name: str, arr: np.ndarray, rng) -> list[tuple]:
     """Flat coordinates to probe: ``_COORDS_PER_TENSOR``, or one per LSTM gate block."""
     size = arr.size
-    if name.startswith("lstm.") and arr.shape[0] % 4 == 0:
-        block = arr.shape[0] // 4
+    if name.startswith("lstm.") and arr.shape[0] % 3 == 0:
+        block = arr.shape[0] // 3
         row_stride = size // arr.shape[0]
         picks = []
-        for gate in range(4):
+        for gate in range(3):
             row = gate * block + int(rng.integers(block))
             offset = int(rng.integers(row_stride)) if row_stride > 1 else 0
             picks.append(row * row_stride + offset)

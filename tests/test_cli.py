@@ -334,7 +334,7 @@ class TestTrainCommand:
         assert len(lines) == 1 + curves * 5
 
     @pytest.mark.parametrize("damage", ["missing", "empty", "half", "tail", "noise", "v1",
-                                        "encrypted"])
+                                        "v2", "encrypted"])
     def test_unreadable_checkpoint_exits_2(self, corpus, config_file, tmp_path, damage,
                                            capsys):
         audio, table = corpus
@@ -358,13 +358,24 @@ class TestTrainCommand:
             with np.load(ckpt) as npz:
                 arrays = {key: npz[key] for key in npz.files}
             header = json.loads(bytes(arrays["header"]).decode())
-            header.update(version=1, base_branch=False)
+            if damage == "v1":
+                header.update(version=1, base_branch=False)
+            else:  # version 2 held a forget block between the input and cell blocks
+                header.update(version=2)
+                h = header["lstm_hidden"]
+                for tag in ("fwd", "bwd"):
+                    w_x, bias = arrays[f"lstm__{tag}__w_x"], arrays[f"lstm__{tag}__bias"]
+                    arrays[f"lstm__{tag}__w_x"] = np.concatenate([w_x[:h], 0 * w_x[:h], w_x[h:]])
+                    arrays[f"lstm__{tag}__bias"] = np.concatenate([bias[:h], np.ones(h), bias[h:]])
             arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
             np.savez(ckpt, **arrays)
         code = main(["export-splines", "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "splines")])
         assert code == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        if damage in ("v1", "v2"):
+            assert f"unsupported checkpoint version {damage[1]}" in err
 
 
     def test_bare_npy_checkpoint_exits_2(self, tmp_path, capsys):

@@ -6,24 +6,23 @@ import pytest
 from kan_ausculta.errors import ContractViolation, ShapeError
 from kan_ausculta.lstm import (
     BiLstm,
-    LstmWeights,
     _sigmoid,
     bilstm_backward,
     bilstm_encode,
     bilstm_init,
-    lstm_init,
 )
 
 # ----------------------------------------------------------------------------
 # oracle: the general length-L recurrence with backpropagation through time.
 # The model only ever runs one step from zero state (lstm.bilstm_encode), so it
-# holds no recurrent matrix; the oracle's directions carry one of their own.
-# At length 1 this oracle must give the same bytes.
+# holds no recurrent matrix and no forget gate; the oracle's directions carry
+# both, stacked as (input, forget, cell, output). At length 1 this oracle must
+# give the same outputs and gradients.
 
 
 @dataclass
 class RecurrentWeights:
-    """One direction of the general LSTM: the model's tensors plus ``w_h``."""
+    """One direction of the general four-gate LSTM."""
 
     w_x: np.ndarray  # (4H, d_in)
     w_h: np.ndarray  # (4H, H)
@@ -46,12 +45,16 @@ class RecurrentGrads:
 
 
 def with_recurrent(m: BiLstm, rng) -> BiLstm:
-    """``m`` with a uniform recurrent matrix per direction; w_x and bias are shared."""
+    """``m`` as a four-gate LSTM: per direction, its three gate blocks around a
+    uniform forget block with forget bias 1, and a uniform recurrent matrix."""
     hidden = m.hidden_size
     bound = 1.0 / np.sqrt(hidden)
 
     def direction(w):
-        return RecurrentWeights(w.w_x, rng.uniform(-bound, bound, (4 * hidden, hidden)), w.bias)
+        w_f = rng.uniform(-bound, bound, (hidden, w.input_size))
+        w_x = np.concatenate([w.w_x[:hidden], w_f, w.w_x[hidden:]])
+        bias = np.concatenate([w.bias[:hidden], np.ones(hidden), w.bias[hidden:]])
+        return RecurrentWeights(w_x, rng.uniform(-bound, bound, (4 * hidden, hidden)), bias)
 
     return BiLstm(direction(m.forward), direction(m.backward), m.dropout_rate)
 
@@ -197,20 +200,15 @@ class TestCellStep:
 
     def test_hidden_output_bounded(self):
         rng = np.random.default_rng(0)
-        w = with_recurrent(bilstm_init(5, 6, 0.0, rng), rng).forward
+        m = bilstm_init(5, 6, 0.0, rng)
+        w = with_recurrent(m, rng).forward
         for _ in range(20):
             h, _, _ = lstm_cell_step(
                 w, rng.normal(scale=10, size=5), rng.normal(size=6), rng.normal(size=6)
             )
             assert np.all(np.abs(h) < 1.0)
-        m = BiLstm(LstmWeights(w.w_x, w.bias), lstm_init(5, 6, rng), dropout_rate=0.0)
         out, _ = bilstm_encode(m, rng.normal(scale=10, size=(20, 5)))
         assert np.all(np.abs(out) < 1.0)
-
-    def test_forget_bias_initialized_to_one(self):
-        w = lstm_init(3, 4, np.random.default_rng(1))
-        # gate blocks stack as (input, forget, cell, output), H = 4 rows each
-        np.testing.assert_array_equal(w.bias, np.repeat([0.0, 1.0, 0.0, 0.0], 4))
 
     def test_shape_mismatch(self):
         w = zero_weights(3, 4)
@@ -223,8 +221,14 @@ class TestCellStep:
             bilstm_encode(m, np.zeros((2, 1, 3)))
 
 
+def without_forget(arr, hidden):
+    """The oracle's four-gate rows less the forget block H:2H."""
+    return np.delete(arr, np.s_[hidden : 2 * hidden], axis=0)
+
+
 class TestOneStepMatchesOracle:
-    """The closed form gives the length-1 oracle's bytes, dropout included."""
+    """The closed form gives the length-1 oracle's results, dropout included,
+    whatever the oracle's forget block holds."""
 
     def test_sigmoid_matches_two_branch_formula(self):
         rng = np.random.default_rng(3)
@@ -256,12 +260,22 @@ class TestOneStepMatchesOracle:
 
         grads = grad_tensors(bilstm_backward(m, cache, upstream))
         ref_grads = grad_tensors(oracle_backward(oracle, ref_cache, upstream)[0])
-        # a step from zero state never reads w_h: its oracle gradient is 0
+        # a step from zero state never reads w_h or the forget rows: their
+        # oracle gradients are 0
         assert not np.any(ref_grads.pop("fwd.w_h")) and not np.any(ref_grads.pop("bwd.w_h"))
+        for name, ref_grad in ref_grads.items():
+            assert not np.any(ref_grad[64:128]), name
+            ref_grads[name] = without_forget(ref_grad, 64)
         assert list(grads) == list(ref_grads)
         for name, ref_grad in ref_grads.items():
             assert grads[name].shape == ref_grad.shape, name
-            assert np.array_equal(grads[name], ref_grad), name
+            if name.endswith("w_x") and d_in == 1927 and batched:
+                # BLAS blocks the 4H-row product differently from the 3H-row
+                # one at this width, so the sums over the batch are ordered
+                # differently
+                np.testing.assert_allclose(grads[name], ref_grad, rtol=1e-13, err_msg=name)
+            else:
+                assert np.array_equal(grads[name], ref_grad), name
 
 
 class TestEncode:

@@ -21,7 +21,7 @@ from kan_ausculta.model import (
     snapshot_parameters,
     softmax,
 )
-from kan_ausculta.optim import FocalParams, OptimConfig, adamw_init, adamw_step, finite_diff_check
+from kan_ausculta.optim import FocalParams, finite_diff_check
 
 
 def small_model(seed=0, d_feat=5, classes=4, **sizes):
@@ -118,23 +118,6 @@ class TestEncoderGradients:
         logits, cache = model_forward(m, x, training=True, rng=rng)
         return model_backward(m, cache, rng.normal(size=logits.shape))
 
-    def test_forget_gate_gradients_are_zero_and_decay_moves_them(self):
-        m = small_model(seed=16, dropout=0.3)
-        grads = self.batch_grads(m, 17)
-        h = m.encoder.hidden_size
-        forget = slice(h, 2 * h)
-        names = [f"lstm.{tag}.{t}" for tag in ("fwd", "bwd") for t in ("w_x", "bias")]
-        for name in names:
-            assert not np.any(grads[name][forget])
-            assert np.any(grads[name])
-        params = parameters(m)
-        before = {name: params[name][forget].copy() for name in names}
-        adamw_step(params, grads, adamw_init(params, 1e-2, OptimConfig(weight_decay=1e-2)))
-        for name, old in before.items():
-            # zero gradient: the Adam term is 0, and decay subtracts lr * wd * theta
-            np.testing.assert_array_equal(params[name][forget], old - old * (1e-2 * 1e-2))
-            assert not np.array_equal(params[name][forget], old)
-
     def test_parameter_and_gradient_dicts_keep_keys_and_shapes(self):
         m = small_model(seed=18)
         expected = [
@@ -146,8 +129,9 @@ class TestEncoderGradients:
         grads = self.batch_grads(m, 19)
         assert list(params) == expected
         assert list(grads) == expected
-        assert params["lstm.fwd.w_x"].shape == (16, 5)
-        assert params["lstm.fwd.bias"].shape == (16,)
+        # three gate blocks (input, cell, output) of H = 4 rows each
+        assert params["lstm.fwd.w_x"].shape == (12, 5)
+        assert params["lstm.fwd.bias"].shape == (12,)
         assert m.encoder.hidden_size == 4
         assert {k: g.shape for k, g in grads.items()} == {k: p.shape for k, p in params.items()}
 
@@ -201,7 +185,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(a, b)
         for name, arr in parameters(m).items():
             np.testing.assert_array_equal(parameters(loaded)[name], arr)
-        assert header["version"] == CHECKPOINT_VERSION == 2
+        assert header["version"] == CHECKPOINT_VERSION == 3
         assert "base_branch" not in header
         assert header["meta"]["fold"] == 2
         np.testing.assert_array_equal(mean, np.arange(5.0))
@@ -309,9 +293,34 @@ class TestUnreadableCheckpoint:
         with pytest.raises(DataError, match="version 1"):
             load_checkpoint(path, expected_fingerprint="abc123")
 
+    def test_version_two_refused(self, tmp_path):
+        # the version 2 layout: the header of this version, and each
+        # direction's w_x and bias with a forget block between input and cell
+        m = small_model(seed=23)
+        arrays = {name.replace(".", "__"): arr for name, arr in parameters(m).items()}
+        for tag in ("fwd", "bwd"):
+            w_x, bias = arrays[f"lstm__{tag}__w_x"], arrays[f"lstm__{tag}__bias"]
+            arrays[f"lstm__{tag}__w_x"] = np.concatenate([w_x[:4], np.zeros((4, 5)), w_x[4:]])
+            arrays[f"lstm__{tag}__bias"] = np.concatenate([bias[:4], np.ones(4), bias[4:]])
+        header = {
+            "version": 2, "fingerprint": "abc123", "feature_dim": 5, "class_count": 4,
+            "lstm_hidden": 4, "dropout_rate": 0.0, "kan_dims": [8, 5, 4], "grid_size": 3,
+            "spline_order": 3, "domain": [-1.0, 1.0], "meta": {},
+        }
+        path = tmp_path / "v2.npz"
+        np.savez(path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                 **arrays)
+        with np.load(path) as npz:
+            assert npz["lstm__fwd__w_x"].shape == (16, 5)
+        with pytest.raises(DataError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
+        with pytest.raises(DataError, match="version 2"):
+            load_checkpoint(path, expected_fingerprint="abc123")
+
 
 class TestInitStream:
-    """build_model draws the same numbers it drew while the encoder held w_h."""
+    """build_model draws the same numbers it drew while the encoder held w_h and
+    the forget block."""
 
     @staticmethod
     def reference_init(d_feat, classes, seed, lstm_hidden=64, kan_hidden=32, n_basis=6):
@@ -319,11 +328,11 @@ class TestInitStream:
         out = {}
         bound = 1.0 / np.sqrt(lstm_hidden)
         for tag in ("fwd", "bwd"):
-            out[f"lstm.{tag}.w_x"] = rng.uniform(-bound, bound, size=(4 * lstm_hidden, d_feat))
+            w_x = rng.uniform(-bound, bound, size=(4 * lstm_hidden, d_feat))
             rng.uniform(-bound, bound, size=(4 * lstm_hidden, lstm_hidden))  # was w_h
-            bias = np.zeros(4 * lstm_hidden)
-            bias[lstm_hidden : 2 * lstm_hidden] = 1.0
-            out[f"lstm.{tag}.bias"] = bias
+            # the four-gate draw less the forget rows
+            out[f"lstm.{tag}.w_x"] = np.vstack([w_x[:lstm_hidden], w_x[2 * lstm_hidden :]])
+            out[f"lstm.{tag}.bias"] = np.zeros(3 * lstm_hidden)
         dims = [2 * lstm_hidden, kan_hidden, classes]
         for idx, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
             scale = 0.1 / np.sqrt(n_in)
@@ -337,3 +346,4 @@ class TestInitStream:
         assert list(params) == list(expected)
         for name, arr in expected.items():
             assert np.array_equal(params[name], arr), name
+            assert params[name].flags.c_contiguous, name
