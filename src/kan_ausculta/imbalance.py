@@ -356,8 +356,6 @@ def build_stage1_subset(
     rng: np.random.Generator,
 ) -> DatasetIndex:
     """All minority-class rows plus a seeded sample of at most ``cap`` majority rows."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     _guard_train_only([row.split for row in index.rows], "build_stage1_subset")
     minority = [row for row in index.rows if row.label != majority_class]
     majority = [row for row in index.rows if row.label == majority_class]

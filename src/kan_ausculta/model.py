@@ -11,12 +11,12 @@ and ``model_backward`` returns gradients under the same names, so the
 optimizer, checkpointing, and the finite-difference checker all share one
 addressing scheme, every tensor of which the forward pass reads:
 
-    lstm.fwd.w_x  lstm.fwd.bias
-    lstm.bwd.w_x  lstm.bwd.bias
+    lstm.w_x  lstm.bias
     kan.<l>.coeffs
 
-Each ``lstm`` pair stacks the gate blocks (input, cell, output): shapes
-(3H, d_feat) and (3H,).
+The ``lstm`` pair stacks the gate blocks (input, cell, output), each the
+forward direction's H rows over the backward direction's: shapes
+(6H, d_feat) and (6H,).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .atomic import atomic_write, read_npz
 from .errors import DataError, FingerprintError, ShapeError
 from .kan import KanLayer, KanNetwork, kan_network_init, network_backward, network_forward
-from .lstm import BiLstm, LstmWeights, bilstm_backward, bilstm_encode, bilstm_init
+from .lstm import BiLstm, bilstm_backward, bilstm_encode, bilstm_init
 from .splines import KnotVector, make_uniform_grid
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -130,7 +130,7 @@ def model_backward(m: HybridModel, cache, grad_logits) -> dict[str, np.ndarray]:
     """
     enc_cache, kan_caches = cache
     grad_encoded, kan_grads = network_backward(m.kan, kan_caches, grad_logits)
-    return _named(bilstm_backward(m.encoder, enc_cache, grad_encoded), kan_grads)
+    return _named(*bilstm_backward(m.encoder, enc_cache, grad_encoded), kan_grads)
 
 
 def softmax(logits) -> np.ndarray:
@@ -143,12 +143,9 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _named(directions, kan_coeffs) -> dict[str, np.ndarray]:
-    """Name the (w_x, bias) pair of each LSTM direction and each KAN layer's coefficients."""
-    out: dict[str, np.ndarray] = {}
-    for tag, (w_x, bias) in zip(("fwd", "bwd"), directions):
-        out[f"lstm.{tag}.w_x"] = w_x
-        out[f"lstm.{tag}.bias"] = bias
+def _named(w_x, bias, kan_coeffs) -> dict[str, np.ndarray]:
+    """Name the LSTM's ``w_x`` and ``bias`` and each KAN layer's coefficients."""
+    out = {"lstm.w_x": w_x, "lstm.bias": bias}
     for idx, coeffs in enumerate(kan_coeffs):
         out[f"kan.{idx}.coeffs"] = coeffs
     return out
@@ -156,8 +153,7 @@ def _named(directions, kan_coeffs) -> dict[str, np.ndarray]:
 
 def parameters(m: HybridModel) -> dict[str, np.ndarray]:
     """Flat name -> array views over all learnable tensors."""
-    directions = [(w.w_x, w.bias) for w in (m.encoder.forward, m.encoder.backward)]
-    return _named(directions, [layer.coeffs for layer in m.kan.layers])
+    return _named(m.encoder.w_x, m.encoder.bias, [layer.coeffs for layer in m.kan.layers])
 
 
 def snapshot_parameters(
@@ -217,7 +213,8 @@ def load_checkpoint(path, expected_fingerprint: str | None = None):
     entries are None when the checkpoint carries no scaler. A file
     ``read_npz`` refuses, or one it cannot rebuild a model from, raises
     ``DataError``, and so does a checkpoint of another version (version 1
-    held recurrent matrices, version 2 a forget-gate block).
+    held recurrent matrices, version 2 a forget-gate block, version 3 one
+    ``lstm.{fwd,bwd}.*`` pair per direction).
     """
     with read_npz(path, "checkpoint") as data:
         header = json.loads(bytes(data["header"]).decode())
@@ -229,10 +226,7 @@ def load_checkpoint(path, expected_fingerprint: str | None = None):
                 f"{header['fingerprint']}, expected {expected_fingerprint}"
             )
         arrays = {key.replace("__", "."): data[key] for key in data.files}
-        fwd, bwd = (
-            LstmWeights(arrays[f"lstm.{t}.w_x"], arrays[f"lstm.{t}.bias"]) for t in ("fwd", "bwd")
-        )
-        encoder = BiLstm(forward=fwd, backward=bwd, dropout_rate=header["dropout_rate"])
+        encoder = BiLstm(arrays["lstm.w_x"], arrays["lstm.bias"], header["dropout_rate"])
         grid = make_uniform_grid(*header["domain"], header["grid_size"], header["spline_order"])
         layers = [
             KanLayer(coeffs=arrays[f"kan.{idx}.coeffs"], grid=grid)

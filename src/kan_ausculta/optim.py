@@ -267,10 +267,6 @@ class EarlyStopState:
     best_snapshot: object = None
     best_epoch: int = -1
 
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-
 
 def early_stop(st: EarlyStopState, metric: float, snapshot=None, epoch: int | None = None) -> bool:
     """Returns True when training should stop.
@@ -296,14 +292,15 @@ _COORDS_PER_TENSOR = 4
 
 
 def _coord_choices(name: str, arr: np.ndarray, rng) -> list[tuple]:
-    """Flat coordinates to probe: ``_COORDS_PER_TENSOR``, or one per LSTM gate block."""
+    """Flat coordinates to probe: ``_COORDS_PER_TENSOR``, or one per LSTM row block
+    (gate x direction)."""
     size = arr.size
-    if name.startswith("lstm.") and arr.shape[0] % 3 == 0:
-        block = arr.shape[0] // 3
+    if name.startswith("lstm.") and arr.shape[0] % 6 == 0:
+        block = arr.shape[0] // 6
         row_stride = size // arr.shape[0]
         picks = []
-        for gate in range(3):
-            row = gate * block + int(rng.integers(block))
+        for first in range(0, arr.shape[0], block):
+            row = first + int(rng.integers(block))
             offset = int(rng.integers(row_stride)) if row_stride > 1 else 0
             picks.append(row * row_stride + offset)
         return [np.unravel_index(p, arr.shape) for p in picks]
@@ -324,8 +321,9 @@ def finite_diff_check(
     """Max relative error of analytic vs central-difference gradients.
 
     Probes a seeded subsample of coordinates in every parameter tensor
-    (covering each LSTM gate block) through the full focal-loss
-    composition. Differences below 1e-8 absolute count as zero error.
+    (covering each LSTM gate block of each direction) through the full
+    focal-loss composition. Differences below 1e-8 absolute count as zero
+    error.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")

@@ -466,14 +466,14 @@ def _run_fold(cfg: RunConfig, fold_idx: int, tagged: DatasetIndex, source, seed_
             probs_val = _predict(model, scaler.transform(X_val))
             val_f1 = _macro_f1(y_val, probs_val, n_classes)
             plateau_step(sched, val_f1)
-            stop = early_stop(stopper, val_f1, snapshot=scaler, epoch=epoch)
+            done = early_stop(stopper, val_f1, snapshot=scaler, epoch=epoch)
             if stopper.best_epoch == epoch:
                 best_params = snapshot_parameters(model, out=best_params)
             history.append(
                 {"epoch": epoch, "train_loss": float(train_loss), "val_macro_f1": float(val_f1), "lr": float(sched.lr)}
             )
             log.debug("fold %d epoch %d: loss %.4f val macro-F1 %.4f", fold_idx, epoch, train_loss, val_f1)
-            if stop:
+            if done:
                 break
 
     best_scaler = stopper.best_snapshot

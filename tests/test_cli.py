@@ -334,7 +334,7 @@ class TestTrainCommand:
         assert len(lines) == 1 + curves * 5
 
     @pytest.mark.parametrize("damage", ["missing", "empty", "half", "tail", "noise", "v1",
-                                        "v2", "encrypted"])
+                                        "v2", "v3", "encrypted"])
     def test_unreadable_checkpoint_exits_2(self, corpus, config_file, tmp_path, damage,
                                            capsys):
         audio, table = corpus
@@ -360,13 +360,19 @@ class TestTrainCommand:
             header = json.loads(bytes(arrays["header"]).decode())
             if damage == "v1":
                 header.update(version=1, base_branch=False)
-            else:  # version 2 held a forget block between the input and cell blocks
-                header.update(version=2)
+            else:
+                # versions 2 and 3 held one w_x, bias pair per direction, and
+                # version 2 a forget block between the input and cell blocks
+                header.update(version=int(damage[1]))
                 h = header["lstm_hidden"]
-                for tag in ("fwd", "bwd"):
-                    w_x, bias = arrays[f"lstm__{tag}__w_x"], arrays[f"lstm__{tag}__bias"]
-                    arrays[f"lstm__{tag}__w_x"] = np.concatenate([w_x[:h], 0 * w_x[:h], w_x[h:]])
-                    arrays[f"lstm__{tag}__bias"] = np.concatenate([bias[:h], np.ones(h), bias[h:]])
+                w_x, bias = arrays.pop("lstm__w_x"), arrays.pop("lstm__bias")
+                for k, tag in enumerate(("fwd", "bwd")):
+                    w_x_k = w_x.reshape(3, 2, h, -1)[:, k].reshape(3 * h, -1)
+                    bias_k = bias.reshape(3, 2, h)[:, k].reshape(3 * h)
+                    if damage == "v2":
+                        w_x_k = np.concatenate([w_x_k[:h], 0 * w_x_k[:h], w_x_k[h:]])
+                        bias_k = np.concatenate([bias_k[:h], np.ones(h), bias_k[h:]])
+                    arrays[f"lstm__{tag}__w_x"], arrays[f"lstm__{tag}__bias"] = w_x_k, bias_k
             arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
             np.savez(ckpt, **arrays)
         code = main(["export-splines", "--checkpoint", str(ckpt),
@@ -374,7 +380,7 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "data error" in err
-        if damage in ("v1", "v2"):
+        if damage in ("v1", "v2", "v3"):
             assert f"unsupported checkpoint version {damage[1]}" in err
 
 

@@ -31,6 +31,7 @@ BAD_SETTINGS = [
     ("focal.alpha.URTI", "-5"),
     ("focal.alpha.URTI", "nan"),
     ("train.early_stop_threshold", "nan"),
+    ("train.early_stop_patience", "0"),
     ("train.stage1_majority_cap", "0"),
     ("train.stage1_epochs", "-3"),
     ("data.min_class_count", "0"),

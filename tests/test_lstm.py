@@ -15,9 +15,10 @@ from kan_ausculta.lstm import (
 # ----------------------------------------------------------------------------
 # oracle: the general length-L recurrence with backpropagation through time.
 # The model only ever runs one step from zero state (lstm.bilstm_encode), so it
-# holds no recurrent matrix and no forget gate; the oracle's directions carry
-# both, stacked as (input, forget, cell, output). At length 1 this oracle must
-# give the same outputs and gradients.
+# holds no recurrent matrix and no forget gate, and it runs both directions as
+# one step of width 2H; the oracle keeps two directions, each with both,
+# stacked as (input, forget, cell, output). At length 1 this oracle must give
+# the same outputs and gradients.
 
 
 @dataclass
@@ -44,19 +45,46 @@ class RecurrentGrads:
     bias: np.ndarray
 
 
-def with_recurrent(m: BiLstm, rng) -> BiLstm:
-    """``m`` as a four-gate LSTM: per direction, its three gate blocks around a
+@dataclass
+class OracleBiLstm:
+    forward: RecurrentWeights
+    backward: RecurrentWeights
+    dropout_rate: float
+
+    @property
+    def hidden_size(self) -> int:
+        return self.forward.hidden_size
+
+
+DIRECTIONS = ("fwd", "bwd")
+
+
+def direction_rows(arr: np.ndarray, k: int) -> np.ndarray:
+    """Direction ``k``'s rows (0 forward, 1 backward) of the model's ``w_x`` or
+    ``bias``: a (3, H, ...) view of its gate blocks (input, cell, output)."""
+    return arr.reshape((3, 2, -1) + arr.shape[1:])[:, k]
+
+
+def split_rows(arr: np.ndarray, k: int) -> np.ndarray:
+    """``direction_rows`` as one (3H, ...) array."""
+    rows = direction_rows(arr, k)
+    return rows.reshape((-1,) + rows.shape[2:])
+
+
+def with_recurrent(m: BiLstm, rng) -> OracleBiLstm:
+    """``m`` as two four-gate LSTM directions: each its three gate blocks around a
     uniform forget block with forget bias 1, and a uniform recurrent matrix."""
     hidden = m.hidden_size
     bound = 1.0 / np.sqrt(hidden)
 
-    def direction(w):
-        w_f = rng.uniform(-bound, bound, (hidden, w.input_size))
-        w_x = np.concatenate([w.w_x[:hidden], w_f, w.w_x[hidden:]])
-        bias = np.concatenate([w.bias[:hidden], np.ones(hidden), w.bias[hidden:]])
+    def direction(k):
+        w_x, bias = split_rows(m.w_x, k), split_rows(m.bias, k)
+        w_f = rng.uniform(-bound, bound, (hidden, m.input_size))
+        w_x = np.concatenate([w_x[:hidden], w_f, w_x[hidden:]])
+        bias = np.concatenate([bias[:hidden], np.ones(hidden), bias[hidden:]])
         return RecurrentWeights(w_x, rng.uniform(-bound, bound, (4 * hidden, hidden)), bias)
 
-    return BiLstm(direction(m.forward), direction(m.backward), m.dropout_rate)
+    return OracleBiLstm(direction(0), direction(1), m.dropout_rate)
 
 
 def oracle_sigmoid(x):
@@ -103,7 +131,7 @@ def _run_direction(w: RecurrentWeights, seq: np.ndarray, reverse: bool):
     return h, steps
 
 
-def oracle_encode(m: BiLstm, seq, training=False, rng=None):
+def oracle_encode(m: OracleBiLstm, seq, training=False, rng=None):
     """Concat of the final states of a pass over t = 1..L and one over t = L..1."""
     seq = np.asarray(seq, dtype=float)
     if seq.ndim not in (2, 3):
@@ -147,7 +175,7 @@ def _bptt(w: RecurrentWeights, steps: list, dh_final):
     return grads, dxs
 
 
-def oracle_backward(m: BiLstm, cache, upstream):
+def oracle_backward(m: OracleBiLstm, cache, upstream):
     """Returns ``((fwd, bwd), grad_seq)``: one ``RecurrentGrads`` per direction, and
     ``grad_seq`` shaped like the sequence."""
     fwd_steps, bwd_steps, mask, seq_shape = cache
@@ -175,13 +203,24 @@ def zero_weights(d_in, hidden):
 
 
 def grad_tensors(grads) -> dict:
-    """Name each direction's gradients, given as the model's ``(w_x, bias)`` pairs
-    or as the oracle's ``RecurrentGrads``."""
-    named = {}
-    for tag, g in zip(("fwd", "bwd"), grads):
-        tensors = vars(g) if isinstance(g, RecurrentGrads) else {"w_x": g[0], "bias": g[1]}
-        named.update({f"{tag}.{name}": arr for name, arr in tensors.items()})
-    return named
+    """Name each direction's gradients, given as the model's ``(w_x, bias)`` pair,
+    whose rows are split into the directions' (3H, ...) rows, or as the oracle's
+    ``RecurrentGrads`` per direction."""
+    if isinstance(grads[0], RecurrentGrads):
+        return {f"{tag}.{name}": arr for tag, g in zip(DIRECTIONS, grads)
+                for name, arr in vars(g).items()}
+    return {f"{tag}.{name}": split_rows(arr, k) for k, tag in enumerate(DIRECTIONS)
+            for name, arr in zip(("w_x", "bias"), grads)}
+
+
+def weight_tensors(m) -> dict:
+    """Name each direction's parameters like ``grad_tensors``: views into the model's
+    merged ``w_x`` and ``bias``, or the oracle's ``RecurrentWeights``."""
+    if isinstance(m, OracleBiLstm):
+        return {f"{tag}.{name}": arr for tag, w in zip(DIRECTIONS, (m.forward, m.backward))
+                for name, arr in vars(w).items()}
+    return {f"{tag}.{name}": direction_rows(getattr(m, name), k)
+            for k, tag in enumerate(DIRECTIONS) for name in ("w_x", "bias")}
 
 
 class TestCellStep:
@@ -214,7 +253,7 @@ class TestCellStep:
         w = zero_weights(3, 4)
         with pytest.raises(ShapeError):
             lstm_cell_step(w, np.zeros(2), np.zeros(4), np.zeros(4))
-        m = BiLstm(forward=w, backward=zero_weights(3, 4), dropout_rate=0.3)
+        m = BiLstm(w_x=np.zeros((24, 3)), bias=np.zeros(24), dropout_rate=0.3)
         with pytest.raises(ShapeError):
             bilstm_encode(m, np.zeros(2))
         with pytest.raises(ShapeError):
@@ -270,7 +309,7 @@ class TestOneStepMatchesOracle:
         for name, ref_grad in ref_grads.items():
             assert grads[name].shape == ref_grad.shape, name
             if name.endswith("w_x") and d_in == 1927 and batched:
-                # BLAS blocks the 4H-row product differently from the 3H-row
+                # BLAS blocks the 4H-row product differently from the 6H-row
                 # one at this width, so the sums over the batch are ordered
                 # differently
                 np.testing.assert_allclose(grads[name], ref_grad, rtol=1e-13, err_msg=name)
@@ -318,7 +357,7 @@ class TestEncode:
         m = with_recurrent(bilstm_init(5, 4, 0.0, rng), rng)
         seq = rng.normal(size=(6, 5))
         out, _ = oracle_encode(m, seq)
-        swapped = BiLstm(forward=m.backward, backward=m.forward, dropout_rate=0.0)
+        swapped = OracleBiLstm(forward=m.backward, backward=m.forward, dropout_rate=0.0)
         out_rev, _ = oracle_encode(swapped, seq[::-1])
         np.testing.assert_allclose(out_rev[:4], out[4:], atol=1e-14)
         np.testing.assert_allclose(out_rev[4:], out[:4], atol=1e-14)
@@ -337,20 +376,21 @@ class TestEncode:
         np.testing.assert_allclose(batched, singles, atol=1e-14)
 
 
-def assert_matches_finite_differences(m: BiLstm, loss, grads: dict, rng):
+def assert_matches_finite_differences(m, loss, grads: dict, rng):
     h = 1e-5
+    weights = weight_tensors(m)
     for name, grad in grads.items():
-        tag, tensor = name.split(".")
-        flat = getattr(m.forward if tag == "fwd" else m.backward, tensor).reshape(-1)
+        arr = weights[name]
         analytic = grad.reshape(-1)
-        picks = rng.choice(flat.size, size=min(10, flat.size), replace=False)
+        picks = rng.choice(arr.size, size=min(10, arr.size), replace=False)
         for p in picks:
-            orig = flat[p]
-            flat[p] = orig + h
+            coord = np.unravel_index(p, arr.shape)
+            orig = arr[coord]
+            arr[coord] = orig + h
             up = loss()
-            flat[p] = orig - h
+            arr[coord] = orig - h
             down = loss()
-            flat[p] = orig
+            arr[coord] = orig
             numeric = (up - down) / (2 * h)
             a = analytic[p]
             assert abs(a - numeric) <= 1e-8 + 1e-5 * max(abs(a), abs(numeric)), name

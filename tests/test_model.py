@@ -29,6 +29,19 @@ def small_model(seed=0, d_feat=5, classes=4, **sizes):
     return build_model(d_feat, classes, np.random.default_rng(seed), cfg)
 
 
+def per_direction_arrays(m):
+    """``m``'s tensors in the version 3 file layout: one ``lstm__{fwd,bwd}__*`` pair
+    per direction, each of three gate blocks, and the KAN coefficients."""
+    h = m.encoder.hidden_size
+    arrays = {}
+    for k, tag in enumerate(("fwd", "bwd")):
+        arrays[f"lstm__{tag}__w_x"] = m.encoder.w_x.reshape(3, 2, h, -1)[:, k].reshape(3 * h, -1)
+        arrays[f"lstm__{tag}__bias"] = m.encoder.bias.reshape(3, 2, h)[:, k].reshape(3 * h)
+    for idx, layer in enumerate(m.kan.layers):
+        arrays[f"kan__{idx}__coeffs"] = layer.coeffs
+    return arrays
+
+
 class TestForward:
     def test_zero_kan_coefficients_give_zero_logits(self):
         m = small_model()
@@ -120,18 +133,14 @@ class TestEncoderGradients:
 
     def test_parameter_and_gradient_dicts_keep_keys_and_shapes(self):
         m = small_model(seed=18)
-        expected = [
-            "lstm.fwd.w_x", "lstm.fwd.bias",
-            "lstm.bwd.w_x", "lstm.bwd.bias",
-            "kan.0.coeffs", "kan.1.coeffs",
-        ]
+        expected = ["lstm.w_x", "lstm.bias", "kan.0.coeffs", "kan.1.coeffs"]
         params = parameters(m)
         grads = self.batch_grads(m, 19)
         assert list(params) == expected
         assert list(grads) == expected
-        # three gate blocks (input, cell, output) of H = 4 rows each
-        assert params["lstm.fwd.w_x"].shape == (12, 5)
-        assert params["lstm.fwd.bias"].shape == (12,)
+        # three gate blocks (input, cell, output) of two directions' H = 4 rows each
+        assert params["lstm.w_x"].shape == (24, 5)
+        assert params["lstm.bias"].shape == (24,)
         assert m.encoder.hidden_size == 4
         assert {k: g.shape for k, g in grads.items()} == {k: p.shape for k, p in params.items()}
 
@@ -185,7 +194,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(a, b)
         for name, arr in parameters(m).items():
             np.testing.assert_array_equal(parameters(loaded)[name], arr)
-        assert header["version"] == CHECKPOINT_VERSION == 3
+        assert header["version"] == CHECKPOINT_VERSION == 4
         assert "base_branch" not in header
         assert header["meta"]["fold"] == 2
         np.testing.assert_array_equal(mean, np.arange(5.0))
@@ -277,13 +286,12 @@ class TestUnreadableCheckpoint:
     def test_version_one_refused(self, tmp_path):
         # the version 1 layout: its header (base_branch key included) and the
         # recurrent matrices this model no longer holds
-        m = small_model(seed=22)
+        arrays = per_direction_arrays(small_model(seed=22))
         header = {
             "version": 1, "fingerprint": "abc123", "feature_dim": 5, "class_count": 4,
             "lstm_hidden": 4, "dropout_rate": 0.0, "kan_dims": [8, 5, 4], "grid_size": 3,
             "spline_order": 3, "domain": [-1.0, 1.0], "base_branch": False, "meta": {},
         }
-        arrays = {name.replace(".", "__"): arr for name, arr in parameters(m).items()}
         arrays["lstm__fwd__w_h"] = arrays["lstm__bwd__w_h"] = np.zeros((16, 4))
         path = tmp_path / "v1.npz"
         np.savez(path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
@@ -293,28 +301,30 @@ class TestUnreadableCheckpoint:
         with pytest.raises(DataError, match="version 1"):
             load_checkpoint(path, expected_fingerprint="abc123")
 
-    def test_version_two_refused(self, tmp_path):
-        # the version 2 layout: the header of this version, and each
-        # direction's w_x and bias with a forget block between input and cell
-        m = small_model(seed=23)
-        arrays = {name.replace(".", "__"): arr for name, arr in parameters(m).items()}
-        for tag in ("fwd", "bwd"):
-            w_x, bias = arrays[f"lstm__{tag}__w_x"], arrays[f"lstm__{tag}__bias"]
-            arrays[f"lstm__{tag}__w_x"] = np.concatenate([w_x[:4], np.zeros((4, 5)), w_x[4:]])
-            arrays[f"lstm__{tag}__bias"] = np.concatenate([bias[:4], np.ones(4), bias[4:]])
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_version_two_refused(self, tmp_path, version):
+        # the header of these versions and one w_x, bias pair per direction;
+        # version 2 held a forget block between the input and cell blocks
+        arrays = per_direction_arrays(small_model(seed=23))
+        if version == 2:
+            for tag in ("fwd", "bwd"):
+                w_x, bias = arrays[f"lstm__{tag}__w_x"], arrays[f"lstm__{tag}__bias"]
+                arrays[f"lstm__{tag}__w_x"] = np.concatenate([w_x[:4], np.zeros((4, 5)), w_x[4:]])
+                arrays[f"lstm__{tag}__bias"] = np.concatenate([bias[:4], np.ones(4), bias[4:]])
         header = {
-            "version": 2, "fingerprint": "abc123", "feature_dim": 5, "class_count": 4,
+            "version": version, "fingerprint": "abc123", "feature_dim": 5, "class_count": 4,
             "lstm_hidden": 4, "dropout_rate": 0.0, "kan_dims": [8, 5, 4], "grid_size": 3,
             "spline_order": 3, "domain": [-1.0, 1.0], "meta": {},
         }
-        path = tmp_path / "v2.npz"
+        path = tmp_path / f"v{version}.npz"
         np.savez(path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
                  **arrays)
         with np.load(path) as npz:
-            assert npz["lstm__fwd__w_x"].shape == (16, 5)
-        with pytest.raises(DataError, match="unsupported checkpoint version 2"):
+            assert npz["lstm__fwd__w_x"].shape == ({2: 16, 3: 12}[version], 5)
+            assert "lstm__w_x" not in npz.files
+        with pytest.raises(DataError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
-        with pytest.raises(DataError, match="version 2"):
+        with pytest.raises(DataError, match=f"version {version}"):
             load_checkpoint(path, expected_fingerprint="abc123")
 
 
@@ -327,12 +337,15 @@ class TestInitStream:
         rng = np.random.default_rng(seed)
         out = {}
         bound = 1.0 / np.sqrt(lstm_hidden)
+        blocks = {}
         for tag in ("fwd", "bwd"):
             w_x = rng.uniform(-bound, bound, size=(4 * lstm_hidden, d_feat))
             rng.uniform(-bound, bound, size=(4 * lstm_hidden, lstm_hidden))  # was w_h
-            # the four-gate draw less the forget rows
-            out[f"lstm.{tag}.w_x"] = np.vstack([w_x[:lstm_hidden], w_x[2 * lstm_hidden :]])
-            out[f"lstm.{tag}.bias"] = np.zeros(3 * lstm_hidden)
+            # the four-gate draw's input, cell and output rows; the forget rows go
+            blocks[tag] = np.split(w_x, 4)[:1] + np.split(w_x, 4)[2:]
+        # each gate block holds the forward direction's rows over the backward's
+        out["lstm.w_x"] = np.vstack([b for pair in zip(blocks["fwd"], blocks["bwd"]) for b in pair])
+        out["lstm.bias"] = np.zeros(6 * lstm_hidden)
         dims = [2 * lstm_hidden, kan_hidden, classes]
         for idx, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
             scale = 0.1 / np.sqrt(n_in)

@@ -356,8 +356,9 @@ class TestFiniteDiffCheck:
         for name, arr in parameters(m).items():
             if name.startswith("lstm."):
                 coords = optim._coord_choices(name, arr, rng)
-                # gate blocks (input, cell, output) of H = 4 rows each
-                assert [int(c[0]) // 4 for c in coords] == [0, 1, 2], name
+                # gate blocks (input, cell, output), each the forward then the
+                # backward direction's H = 4 rows
+                assert [int(c[0]) // 4 for c in coords] == [0, 1, 2, 3, 4, 5], name
 
     def test_pathological_h_reports_failure(self):
         # h = 1 invalidates the Taylor expansion, so the check must flag it
