@@ -16,11 +16,9 @@ The feature cache location can be overridden with KAN_AUSCULTA_CACHE.
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -79,7 +77,7 @@ def _build_parser() -> _Parser:
     add_data_opts(p_extract)
     p_extract.add_argument("--out", help="cache file path (default: env or ./features.npz)")
     p_extract.add_argument("--config", help="run configuration file")
-    p_extract.add_argument("--jobs", type=int, help="parallel extraction workers")
+    p_extract.add_argument("--jobs", type=int, help="parallel extraction threads")
 
     p_train = sub.add_parser("train", help="cross-validated training")
     add_data_opts(p_train)
@@ -88,7 +86,7 @@ def _build_parser() -> _Parser:
     p_train.add_argument("--preset", choices=sorted(PRESETS), help="ablation preset")
     p_train.add_argument("--seed", type=int, help="override the run seed")
     p_train.add_argument("--folds", type=int, help="override the fold count")
-    p_train.add_argument("--jobs", type=int, help="worker pool size for extraction")
+    p_train.add_argument("--jobs", type=int, help="parallel extraction threads")
     p_train.add_argument("--cache", help="feature cache file to reuse")
 
     p_ablate = sub.add_parser("ablate", help="run every preset and summarize")
@@ -131,21 +129,22 @@ def _extract_one(path, cfg: FeatureConfig):
 
 
 def _extract_all(paths, feature_config: FeatureConfig, jobs: int) -> np.ndarray:
-    """``_extract_one`` of each path, stacked in input order.
+    """``_extract_one`` of each path, stacked in input order, on ``ReadAhead`` threads.
 
-    With ``jobs`` > 1 a process pool extracts the rows. With ``jobs`` 1 a
-    ``ReadAhead`` helper thread decodes and filters recording i + 1 while
-    this thread extracts recording i (scipy's filters, numpy's FFT and the
-    sparse product release the GIL), so at most two recordings are in
-    flight. The first error in list order propagates, as in a serial loop: a
-    failed load surfaces only once every earlier row is extracted, and a
-    failed extract wins over the load running beside it. The helper is
-    joined before this returns or raises.
+    With ``jobs`` > 1, ``jobs`` threads each compute whole rows, one recording
+    at a time. With ``jobs`` 1 a helper thread decodes and filters recording
+    i + 1 while this thread extracts recording i. Decoding, scipy's filters,
+    numpy's FFT and the sparse product release the GIL. The first error in
+    list order propagates, as in a serial loop: a failed row surfaces only
+    once every earlier row is done, and a failed extract wins over the load
+    running beside it. The helpers are joined before this returns or raises.
     """
+    log.info("extracting %d recordings with %d thread(s)", len(paths), jobs)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # map preserves input order
-            return np.stack(list(pool.map(_extract_one, paths, itertools.repeat(feature_config))))
+        calls = [partial(_extract_one, path, feature_config) for path in paths]
+        # 2 * jobs queued calls keep every thread busy; a queued call holds no audio
+        with ReadAhead(calls, 2 * jobs, workers=jobs) as rows:
+            return np.stack([rows.take() for _ in paths])
     layout = default_layout(feature_config)
     # only the recording ahead stays alive while the current one is extracted
     with ReadAhead([partial(_load, path, feature_config) for path in paths], 1) as loads:
@@ -175,7 +174,6 @@ def _audio_source(cfg, index, cache_file) -> AudioFeatureSource:
         log.info("loaded %d cached feature rows from %s", len(paths), cache_file)
     missing = [row.path for row in index.rows if row.path not in cache]
     if missing:
-        log.info("extracting %d recordings with %d worker(s)", len(missing), cfg.jobs)
         cache.update(zip(missing, _extract_all(missing, cfg.features, cfg.jobs)))
     return AudioFeatureSource(cfg.features, cache)
 
@@ -245,7 +243,6 @@ def _cmd_extract(args) -> int:
     result = ingest(args.data, args.diagnosis, cfg.min_class_count)
     layout = default_layout(cfg.features)
     paths = [row.path for row in result.index.rows]
-    log.info("extracting %d recordings with %d worker(s)", len(paths), cfg.jobs)
     matrix = _extract_all(paths, cfg.features, cfg.jobs)
     cache_file = _cache_path(args.out)
     cache_file.parent.mkdir(parents=True, exist_ok=True)

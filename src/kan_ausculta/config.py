@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .dataset import CLASS_NAMES
 from .features import FeatureConfig
 from .imbalance import AugmentConfig, SmoteConfig
 from .model import ModelConfig
@@ -140,7 +141,7 @@ _KEY_TABLE = {
     "smote.target_ratio": ("smote", "target_ratio", float),
 }
 
-# keys with a per-class-name tail, e.g. augment.prob.URTI = 0.6
+# keys whose tail is one of CLASS_NAMES, e.g. augment.prob.URTI = 0.6
 _PREFIX_TABLE = {
     "augment.prob.": ("augment", "class_probability", float),
     "augment.pitch.": ("augment", "class_pitch_range", float),
@@ -234,8 +235,8 @@ def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
                 nested.setdefault(section, {})[attr] = value
             continue
         for prefix, (section, attr, kind) in _PREFIX_TABLE.items():
-            if key.startswith(prefix) and len(key) > len(prefix):
-                class_name = key[len(prefix) :]
+            class_name = key[len(prefix) :]
+            if key.startswith(prefix) and class_name in CLASS_NAMES:
                 current = dict(getattr(getattr(cfg, section), attr))
                 merged = nested.setdefault(section, {}).setdefault(attr, current)
                 merged[class_name] = _coerce(raw, kind)

@@ -22,7 +22,7 @@ extracts the uncached recordings through ``extract``'s path), and
 re-extracts only the training rows whose augmentation gate fires; stage 2
 computes those up to ``EPOCHS_AHEAD`` epochs ahead on a helper thread,
 beside stage 1 and the earlier epochs' gradient steps (``ReadAhead``, which
-``cli`` also uses to decode recordings ahead of their extraction).
+``cli`` also uses for base extraction, on ``jobs`` threads at ``jobs`` > 1).
 ``ArrayFeatureSource`` serves a precomputed matrix with no audio, so stage 2
 trains on its base rows. Every array ``base_features`` and
 ``epoch_features`` return is new, and the caller may modify it: stage 2
@@ -129,27 +129,28 @@ class Scaler:
 
 
 class ReadAhead:
-    """The results of ``calls``, one ``take`` each, in order, computed ahead on one helper thread.
+    """The results of ``calls``, one ``take`` each, in order, computed ahead on helper threads.
 
     Opening the ``with`` block submits the first ``depth`` calls, and each
     ``take`` submits one more, so up to ``depth`` calls are submitted beyond
-    the one being taken. An error surfaces at the ``take`` of its call; a call
-    computed ahead but never taken is dropped with any error it raised, as a
-    serial loop never made it. Leaving the block drops the queue, sets
-    ``stop`` (a ``threading.Event`` the running call may check), cancels the
-    calls not yet started and joins the helper.
+    the one being taken. ``workers`` threads run them in any order, so more
+    than one suits only calls that share no random stream. An error surfaces
+    at the ``take`` of its call; a call computed ahead but never taken is
+    dropped with any error it raised, as a serial loop never made it. Leaving
+    the block drops the queue, sets ``stop`` (a ``threading.Event`` the running
+    calls may check), cancels the calls not yet started and joins the helpers.
     """
 
-    def __init__(self, calls, depth: int, stop=None, name="read-ahead"):
+    def __init__(self, calls, depth: int, stop=None, name="read-ahead", workers=1):
         self._calls = iter(calls)
         self._depth = depth
         self._stop = stop
         self._ahead = deque()  # the submitted calls' futures, oldest first
-        self._helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix=name)
+        self._helpers = ThreadPoolExecutor(max_workers=workers, thread_name_prefix=name)
 
     def _submit(self):
         for call in itertools.islice(self._calls, self._depth - len(self._ahead)):
-            self._ahead.append(self._helper.submit(call))
+            self._ahead.append(self._helpers.submit(call))
 
     def __enter__(self):
         self._submit()
@@ -159,7 +160,7 @@ class ReadAhead:
         self._ahead.clear()
         if self._stop is not None:
             self._stop.set()
-        self._helper.shutdown(wait=True, cancel_futures=True)
+        self._helpers.shutdown(wait=True, cancel_futures=True)
 
     def take(self):
         """The next call's result."""

@@ -508,7 +508,7 @@ class TestExtractParallel:
         seen = []
         real = cli_module._extract_all
 
-        def serial(paths, feature_config, jobs):  # records the pool size, starts no pool
+        def serial(paths, feature_config, jobs):  # records jobs, extracts as at jobs 1
             seen.append(jobs)
             return real(paths, feature_config, 1)
 
@@ -523,8 +523,35 @@ def index_paths(audio, table):
     return [row.path for row in ingest(audio, table, 3).index.rows]
 
 
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """The paths ``cli.read_wav`` read, the signals ``preprocess`` returned and
+    the signals ``extract`` was given, as seen in this process."""
+    real_read, real_preprocess, real_extract = (
+        cli_module.read_wav, cli_module.preprocess, cli_module.extract)
+    read, filtered, extracted = [], [], []
+
+    def read_wav(path):
+        read.append(path)
+        return real_read(path)
+
+    def preprocess(sig, cfg):
+        filtered.append(real_preprocess(sig, cfg))
+        return filtered[-1]
+
+    def extract(sig, layout):
+        extracted.append(sig)
+        return real_extract(sig, layout)
+
+    monkeypatch.setattr(cli_module, "read_wav", read_wav)
+    monkeypatch.setattr(cli_module, "preprocess", preprocess)
+    monkeypatch.setattr(cli_module, "extract", extract)
+    return read, filtered, extracted
+
+
 class TestExtractPipeline:
-    """``jobs`` 1: a helper thread decodes and filters row i + 1 while row i is extracted."""
+    """``jobs`` 1: a helper thread decodes and filters row i + 1 while row i is
+    extracted. ``jobs`` > 1: ``jobs`` threads of this process extract whole rows."""
 
     def test_rows_equal_extract_one_in_order(self, corpus):
         paths = index_paths(*corpus)
@@ -533,34 +560,17 @@ class TestExtractPipeline:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
-            matrix = cli_module._extract_all(paths, cfg, 1)
+            matrices = [cli_module._extract_all(paths, cfg, jobs) for jobs in (1, 2, 3)]
         finally:
             sys.setswitchinterval(interval)
-        assert matrix.shape == (len(paths), len(expected[0]))
-        for row, want in zip(matrix, expected):
-            assert row.tobytes() == want.tobytes()
+        for matrix in matrices:
+            assert matrix.shape == (len(paths), len(expected[0]))
+            for row, want in zip(matrix, expected):
+                assert row.tobytes() == want.tobytes()
 
-    def test_each_stage_runs_once_per_path_and_the_helper_is_joined(self, corpus, monkeypatch):
+    def test_each_stage_runs_once_per_path_and_the_helper_is_joined(self, corpus, stage_calls):
         paths = index_paths(*corpus)
-        real_read, real_preprocess, real_extract = (
-            cli_module.read_wav, cli_module.preprocess, cli_module.extract)
-        read, filtered, extracted = [], [], []
-
-        def read_wav(path):
-            read.append(path)
-            return real_read(path)
-
-        def preprocess(sig, cfg):
-            filtered.append(real_preprocess(sig, cfg))
-            return filtered[-1]
-
-        def extract(sig, layout):
-            extracted.append(sig)
-            return real_extract(sig, layout)
-
-        monkeypatch.setattr(cli_module, "read_wav", read_wav)
-        monkeypatch.setattr(cli_module, "preprocess", preprocess)
-        monkeypatch.setattr(cli_module, "extract", extract)
+        read, filtered, extracted = stage_calls
         threads = threading.active_count()
         cli_module._extract_all(paths, FeatureConfig(), 1)
         assert threading.active_count() == threads
@@ -568,6 +578,17 @@ class TestExtractPipeline:
         assert len(filtered) == len(paths)
         # each signal preprocess made is extracted once, in path order
         assert [id(sig) for sig in extracted] == [id(sig) for sig in filtered]
+
+    def test_threads_run_each_stage_once_per_path_in_this_process(self, corpus, stage_calls):
+        paths = index_paths(*corpus)
+        read, filtered, extracted = stage_calls
+        threads = threading.active_count()
+        cli_module._extract_all(paths, FeatureConfig(), 2)
+        assert threading.active_count() == threads
+        # the threads finish rows in any order
+        assert sorted(read) == sorted(paths)
+        assert len(filtered) == len(paths)
+        assert sorted(id(sig) for sig in extracted) == sorted(id(sig) for sig in filtered)
 
     @pytest.mark.parametrize("damage", ["undecodable", "non-finite"])
     def test_bad_recording_in_the_middle_exits_2_naming_it(self, tmp_path, damage, capsys):
@@ -589,22 +610,30 @@ class TestExtractPipeline:
         assert "data error" in err and str(bad) in err
         assert not (tmp_path / "features.npz").exists()
 
-    def test_first_bad_recording_in_list_order_is_named(self, tmp_path, monkeypatch):
+    def test_first_bad_recording_in_list_order_is_named(self, tmp_path, stage_calls):
         audio, table = write_corpus(tmp_path, {"COPD": 10, "Healthy": 10, "Pneumonia": 10})
         paths = index_paths(audio, table)
         for k in (5, 6, 20):
             Path(paths[k]).write_bytes(b"garbage")
-        real_read = cli_module.read_wav
-        read = []
-
-        def read_wav(path):
-            read.append(path)
-            return real_read(path)
-
-        monkeypatch.setattr(cli_module, "read_wav", read_wav)
+        read = stage_calls[0]
         with pytest.raises(DataError, match=str(paths[5])):
             cli_module._extract_all(paths, FeatureConfig(), 1)
         assert read == paths[:6]  # nothing past the failed recording is read
+
+    def test_threads_name_the_first_bad_recording_in_list_order(self, tmp_path, stage_calls):
+        audio, table = write_corpus(tmp_path, {"COPD": 10, "Healthy": 10, "Pneumonia": 10})
+        paths = index_paths(audio, table)
+        for k in (5, 6, 20):
+            Path(paths[k]).write_bytes(b"garbage")
+        read = stage_calls[0]
+        threads = threading.active_count()
+        with pytest.raises(DataError, match=str(paths[5])):
+            cli_module._extract_all(paths, FeatureConfig(), 2)
+        assert threading.active_count() == threads
+        # at most 2 * jobs calls are queued from the row being taken on, and
+        # none is submitted after a failed take
+        assert set(read) <= set(paths[:9])
+        assert paths[20] not in read
 
     def test_extract_error_propagates_while_the_next_row_loads(self, corpus, monkeypatch):
         paths = index_paths(*corpus)

@@ -30,6 +30,10 @@ BAD_SETTINGS = [
     ("focal.gamma", "inf"),
     ("focal.alpha.URTI", "-5"),
     ("focal.alpha.URTI", "nan"),
+    # per-class keys whose class name is misspelt or miscased
+    ("augment.prob.urti", "0.9"),
+    ("focal.alpha.Urti", "0.9"),
+    ("smote.target.URTl", "40"),
     ("train.early_stop_threshold", "nan"),
     ("train.early_stop_patience", "0"),
     ("train.stage1_majority_cap", "0"),
